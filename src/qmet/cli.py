@@ -319,6 +319,8 @@ def cmd_probe_opt(cfg):
 
 def cmd_qubit_sweep(cfg):
     _require(cfg, ["out"])
+    if cfg["n_samples"] < 1:
+        raise ValidationError(f"field 'n_samples' must be at least 1, got {cfg['n_samples']}")
     rows, summary = exp_mod.run_qubit_sweep(n_samples=cfg["n_samples"], seed=cfg["seed"])
     exp_mod.write_csv(
         cfg["out"],
@@ -424,3 +426,7 @@ def main(argv=None):
 
 def entry():
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -86,20 +86,6 @@ def spd_inverse(m) -> np.ndarray:
     return symmetrize(Linv.T @ Linv)
 
 
-def solve_spd(m, b) -> np.ndarray:
-    """Solve ``m @ x = b`` for symmetric positive-definite m."""
-    L = cholesky(m)
-    b = np.asarray(b, dtype=float)
-    y = np.zeros_like(b)
-    n = L.shape[0]
-    for i in range(n):
-        y[i] = (b[i] - L[i, :i] @ y[:i]) / L[i, i]
-    x = np.zeros_like(b)
-    for i in range(n - 1, -1, -1):
-        x[i] = (y[i] - L[i + 1:, i] @ x[i + 1:]) / L[i, i]
-    return x
-
-
 def trailing_submatrix(m, j) -> np.ndarray:
     """Lower-right block of ``m`` obtained by dropping the first ``j - 1`` rows/columns.
 

@@ -37,6 +37,7 @@ from .linalg import (
 
 BRUTE_FORCE_MAX = 8
 DP_MAX = 20
+DP_CHUNK = 4096  # subsets per batched solve; bounds the scratch memory
 
 
 @dataclass(frozen=True)
@@ -68,16 +69,17 @@ class Brackets:
 
 @dataclass(frozen=True)
 class DpTables:
-    """Memoization tables of the ordering search.
+    """Memoization tables of the ordering search, as arrays indexed by bitmask.
 
-    ``cost`` maps a bitmask of parameter labels (bit k = label k+1) to the
-    optimal accumulated cost sum 1/L_jj over that subset; ``choice`` maps it
-    to the 0-based index of the parameter estimated first within the
-    subset.  ``expansions`` counts evaluated (subset, candidate) pairs.
+    A mask has bit k set for label k+1.  ``cost[mask]`` is the optimal
+    accumulated cost sum 1/L_jj over that subset (inf when no ordering of
+    it is feasible); ``choice[mask]`` is the 0-based index of the parameter
+    estimated first within the subset, or -1 where there is no choice.
+    ``expansions`` counts (subset, candidate) pairs, n * 2^(n-1).
     """
 
-    cost: dict
-    choice: dict
+    cost: np.ndarray
+    choice: np.ndarray
     expansions: int
 
 
@@ -103,27 +105,23 @@ def _weight_diag(w, n):
     return w
 
 
-def _step_terms(qp):
-    """A_j for the already-permuted matrix, or None where a trailing block fails SPD.
+def _step_terms(qp, tol):
+    """A_j for the already-permuted matrix, or None when the ordering is singular.
 
-    Each trailing determinant comes from its own Cholesky factorization
-    (squared pivot product); they are all positive iff the matrix is SPD,
-    and any failure marks the ordering as singular.  This route is kept
-    independent of the single-factorization telescoping of
-    :func:`csep_cholesky`, which the tests play against it.
+    One Cholesky factorization of the reverse-permuted matrix gives every
+    trailing block at once: its k-th squared pivot is
+    det Q_{n-k..n} / det Q_{n-k+1..n}, so A = 1 / diag(L)^2 read backwards.
+    The ordering is singular when the factorization fails or any squared
+    pivot is non-finite or at or below ``tol`` (:func:`pivot_tol`, the
+    tolerance of the ordering search as well).
     """
-    n = qp.shape[0]
-    dets = np.empty(n + 1)
-    dets[n] = 1.0
-    for j in range(n):
-        try:
-            piv = np.diag(np.linalg.cholesky(qp[j:, j:]))
-        except np.linalg.LinAlgError:
-            return None
-        dets[j] = np.prod(piv) ** 2
-    if np.any(dets[:n] <= 0.0) or not np.all(np.isfinite(dets)):
+    try:
+        piv = np.diag(np.linalg.cholesky(qp[::-1, ::-1])) ** 2
+    except np.linalg.LinAlgError:
         return None
-    return dets[1:] / dets[:n]
+    if not np.all(np.isfinite(piv)) or np.any(piv <= tol):
+        return None
+    return 1.0 / piv[::-1]
 
 
 def csep_ordered(q, order=None, w=None):
@@ -141,10 +139,9 @@ def csep_ordered(q, order=None, w=None):
     order = _validate_ordering(order if order is not None else range(1, n + 1), n)
     wd = _weight_diag(w, n)
     idx = [o - 1 for o in order]
-    qp = q[np.ix_(idx, idx)]
-    a = _step_terms(qp)
+    a = _step_terms(q[np.ix_(idx, idx)], pivot_tol(q))
     if a is None:
-        raise SingularQfim("a trailing determinant of the permuted QFIM is <= 0")
+        raise SingularQfim("a Cholesky pivot of the permuted QFIM is at or below tolerance")
     weighted = wd[list(idx)] * a
     roots = np.sqrt(weighted)
     total = roots.sum()
@@ -188,15 +185,6 @@ def brackets(q):
     )
 
 
-def _value_or_inf(q, order, wd):
-    """Weighted stepwise value, infinite when the ordering hits a singular block."""
-    idx = [o - 1 for o in order]
-    a = _step_terms(q[np.ix_(idx, idx)])
-    if a is None:
-        return np.inf
-    return float(np.sum(np.sqrt(wd[list(idx)] * a)) ** 2)
-
-
 def best_order_bruteforce(q, w=None):
     """Minimum stepwise bound over all n! orderings.
 
@@ -213,9 +201,12 @@ def best_order_bruteforce(q, w=None):
             f"brute force is guarded at n <= {BRUTE_FORCE_MAX}, got n = {n}"
         )
     wd = _weight_diag(w, n)
+    tol = pivot_tol(q)
     best_order, best_value = None, np.inf
     for perm in permutations(range(1, n + 1)):
-        value = _value_or_inf(q, perm, wd)
+        idx = [o - 1 for o in perm]
+        a = _step_terms(q[np.ix_(idx, idx)], tol)
+        value = np.inf if a is None else float(np.sum(np.sqrt(wd[idx] * a)) ** 2)
         if value < best_value:
             best_order, best_value = perm, value
     if best_order is None:
@@ -223,13 +214,21 @@ def best_order_bruteforce(q, w=None):
     return csep_ordered(q, best_order, w)
 
 
+def _members(masks, n, k):
+    """Ascending member indices of each k-element mask, as an (len(masks), k) array."""
+    return np.nonzero(masks[:, None] >> np.arange(n) & 1)[1].reshape(masks.size, k)
+
+
 def dp_tables(q, w=None):
-    """Held-Karp tables over parameter subsets.
+    """Held-Karp tables over parameter subsets, one population-count layer at a time.
 
     cost(S) = min_{j in S} cost(S \\ {j}) + sqrt(w_j) / sqrt(schur(j | S \\ {j}))
     with schur(j | I) = q_jj - q_jI Q_II^-1 q_jI, the squared Cholesky pivot
-    of appending j after the block I.  Subsets iterate by population count;
-    non-positive Schur complements make a candidate infeasible.
+    of appending j after the block I.  Every finite-cost subset I of a layer
+    is factorized once, in batched solves of Q_II against Q_I,: that give
+    schur(j | I) for all j at once; subsets of infinite cost are never
+    factorized.  A Schur complement at or below :func:`pivot_tol` makes the
+    candidate infeasible, and ties keep the smallest j.
     """
     q = np.asarray(q, dtype=float)
     _require_symmetric(q, "QFIM")
@@ -239,34 +238,41 @@ def dp_tables(q, w=None):
         raise TooManyParameters(f"DP is guarded at n <= {DP_MAX}, got n = {n}")
     wd = _weight_diag(w, n)
     tol = pivot_tol(q)
-    cost = {0: 0.0}
-    choice = {0: None}
-    expansions = 0
-    masks = sorted(range(1, 1 << n), key=lambda m: (m.bit_count(), m))
-    for mask in masks:
-        bits = [k for k in range(n) if mask >> k & 1]
-        best, best_j = np.inf, None
-        for j in bits:
-            expansions += 1
-            rest = mask ^ (1 << j)
-            base = cost[rest]
-            if not np.isfinite(base):
-                continue
-            others = [k for k in bits if k != j]
-            if others:
-                qii = q[np.ix_(others, others)]
-                qij = q[others, j]
-                schur = q[j, j] - qij @ np.linalg.solve(qii, qij)
-            else:
-                schur = q[j, j]
-            if schur <= tol:
-                continue
-            cand = base + np.sqrt(wd[j]) / np.sqrt(schur)
-            if cand < best:
-                best, best_j = cand, j
-        cost[mask] = best
-        choice[mask] = best_j
-    return DpTables(cost=cost, choice=choice, expansions=expansions)
+    diag = np.diag(q)
+    root_w = np.sqrt(wd)
+    size = np.zeros(1, dtype=np.intp)
+    for _ in range(n):
+        size = np.concatenate((size, size + 1))  # popcount of every mask
+    layers = [np.flatnonzero(size == k) for k in range(n + 1)]
+    rank = np.empty(1 << n, dtype=np.intp)
+    for layer in layers:
+        rank[layer] = np.arange(layer.size)
+    cost = np.full(1 << n, np.inf)
+    cost[0] = 0.0
+    choice = np.full(1 << n, -1, dtype=np.intp)
+    for k in range(1, n + 1):
+        prev = layers[k - 1]
+        # cand[r, j]: cost of appending j after the r-th subset of layer k - 1
+        cand = np.full((prev.size, n), np.inf)
+        for lo in range(0, prev.size, DP_CHUNK):
+            rows = lo + np.flatnonzero(np.isfinite(cost[prev[lo:lo + DP_CHUNK]]))
+            members = _members(prev[rows], n, k - 1)
+            qi = q[members]
+            qii = q[members[:, :, None], members[:, None, :]]
+            schur = diag - np.einsum("mij,mij->mj", qi, np.linalg.solve(qii, qi))
+            ok = schur > tol
+            step = root_w / np.sqrt(np.where(ok, schur, 1.0))
+            cand[rows] = np.where(ok, cost[prev[rows]][:, None] + step, np.inf)
+        layer = layers[k]
+        for lo in range(0, layer.size, DP_CHUNK):
+            sub = layer[lo:lo + DP_CHUNK]
+            members = _members(sub, n, k)
+            vals = cand[rank[sub[:, None] ^ (1 << members)], members]
+            best = np.argmin(vals, axis=1)  # first minimum: the smallest j
+            at = np.arange(sub.size)
+            cost[sub] = vals[at, best]
+            choice[sub] = np.where(np.isfinite(cost[sub]), members[at, best], -1)
+    return DpTables(cost=cost, choice=choice, expansions=n * 2 ** (n - 1))
 
 
 def best_order_dp(q, w=None):
@@ -285,7 +291,7 @@ def best_order_dp(q, w=None):
     order = []
     mask = full
     while mask:
-        j = tables.choice[mask]
+        j = int(tables.choice[mask])
         order.append(j + 1)
         mask ^= 1 << j
     return csep_ordered(q, tuple(order), w)

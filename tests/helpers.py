@@ -41,6 +41,29 @@ def step_terms_by_inversion(q, order):
     return np.array([np.linalg.inv(qp[j:, j:])[0, 0] for j in range(n)])
 
 
+def dp_costs_by_loop(q, tol):
+    """Held-Karp costs by an explicit loop over (subset, candidate) pairs.
+
+    Reference for the batched search: one solve per pair, candidates with a
+    Schur complement at or below ``tol`` infeasible, masks as plain ints.
+    """
+    q = np.asarray(q, dtype=float)
+    n = q.shape[0]
+    cost = np.full(1 << n, np.inf)
+    cost[0] = 0.0
+    for mask in sorted(range(1, 1 << n), key=lambda m: m.bit_count()):
+        bits = [k for k in range(n) if mask >> k & 1]
+        for j in bits:
+            if not np.isfinite(cost[mask ^ (1 << j)]):
+                continue
+            others = [k for k in bits if k != j]
+            qij = q[others, j]
+            schur = q[j, j] - qij @ np.linalg.solve(q[np.ix_(others, others)], qij)
+            if schur > tol:
+                cost[mask] = min(cost[mask], cost[mask ^ (1 << j)] + 1.0 / np.sqrt(schur))
+    return cost
+
+
 def simplex_min_csep(a_terms, n_starts=3, seed=0):
     """Minimize sum_j a_j / gamma_j over the probability simplex numerically.
 

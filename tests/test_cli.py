@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -227,6 +231,16 @@ class TestSweepCommands:
         ]
         assert len(lines) == len(comments) + 1 + 20
 
+    def test_qubit_sweep_zero_samples_exits_2(self, capsys, tmp_path):
+        out_path = tmp_path / "sweep.csv"
+        rc, _, err = run(
+            capsys, "qubit-sweep", "--n-samples", "0", "--out", str(out_path)
+        )
+        assert rc == 2
+        assert err.startswith("ValidationError")
+        assert "'n_samples'" in err
+        assert not out_path.exists()
+
     def test_scatter_artifact_and_determinism(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["scatter", "--n-states", "4", "--seed", "9"]
@@ -294,3 +308,14 @@ class TestArgumentErrors:
 
     def test_unknown_flag(self, capsys):
         assert main(["csep", "--nope", "1"]) == 2
+
+
+def test_module_entry_point():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qmet.cli", "order", "--model", "matrix", "--q", "4,2;2,5"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"]["ordering"] == [2, 1]

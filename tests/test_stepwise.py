@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
 from qmet.errors import SingularQfim, TooManyParameters
+from qmet.linalg import pivot_tol
 from qmet.stepwise import (
     best_order_bruteforce,
     best_order_dp,
@@ -11,7 +15,7 @@ from qmet.stepwise import (
     dp_tables,
 )
 
-from helpers import rand_spd, simplex_min_csep, step_terms_by_inversion
+from helpers import dp_costs_by_loop, rand_spd, simplex_min_csep, step_terms_by_inversion
 
 Q_WORKED = np.array([[4.0, 2.0], [2.0, 5.0]])
 
@@ -256,10 +260,25 @@ class TestDynamicProgramming:
         assert tables.expansions == sum(k * comb(n, k) for k in range(1, n + 1))
         # minimum cost per population count never decreases
         by_size = {}
-        for mask, c in tables.cost.items():
+        for mask, c in enumerate(tables.cost):
             by_size.setdefault(mask.bit_count(), []).append(c)
         mins = [min(by_size[k]) for k in sorted(by_size)]
         assert all(a <= b + 1e-12 for a, b in zip(mins, mins[1:]))
+
+    def test_costs_match_loop_reference(self):
+        # batched solves sum in another order than the loop, hence a tolerance
+        rng = np.random.default_rng(13)
+        for n in range(1, 8):
+            for _ in range(10):
+                q = rand_spd(rng, n)
+                tables = dp_tables(q)
+                ref = dp_costs_by_loop(q, pivot_tol(q))
+                assert np.allclose(tables.cost, ref, rtol=1e-12, atol=0.0)
+        # a singular direction leaves the same subsets infeasible
+        q = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
+        tables = dp_tables(q)
+        assert np.array_equal(np.isinf(tables.cost), np.isinf(dp_costs_by_loop(q, pivot_tol(q))))
+        assert np.all(tables.choice[np.isinf(tables.cost)] == -1)
 
     def test_guard(self):
         with pytest.raises(TooManyParameters):
@@ -277,3 +296,64 @@ class TestDynamicProgramming:
         doc = res.to_json()
         assert set(doc) == {"value", "ordering", "gammas", "step_terms"}
         assert doc["ordering"] == [2, 1]
+
+
+def _cond_rtol(q):
+    """Relative tolerance for stepwise values of q: rounding grows with cond(Q)."""
+    return 1e-12 + 1e3 * np.finfo(float).eps * float(np.linalg.cond(q))
+
+
+def _search_or_none(search, q):
+    try:
+        return search(q)
+    except SingularQfim:
+        return None
+
+
+def _q_eps(eps, perm):
+    q = np.array([[1.0, 1.0, 0.0], [1.0, 1.0 + eps, 0.0], [0.0, 0.0, 2.0]])
+    return q[np.ix_(perm, perm)]
+
+
+def _sloppy(seed, n, decades):
+    rng = np.random.default_rng(seed)
+    basis, r = np.linalg.qr(rng.standard_normal((n, n)))
+    basis = basis * np.sign(np.diag(r))
+    q = basis @ np.diag(np.logspace(0.0, -decades, n)) @ basis.T
+    return 0.5 * (q + q.T)
+
+
+# Q_eps has a Schur pivot of eps against the pivot tolerance 2e-12.  Within a
+# factor of 2 of that tolerance, rounding of the pivot decides whether the
+# bound exists, so that band is left out.
+_EPS = st.floats(-15.0, -6.0).map(lambda e: 10.0**e).filter(
+    lambda eps: not 1e-12 <= eps <= 4e-12
+)
+_Q_EPS = st.builds(_q_eps, _EPS, st.permutations(range(3)))
+_SLOPPY = st.builds(
+    _sloppy, st.integers(0, 2**32 - 1), st.integers(2, 6), st.floats(0.0, 10.0)
+)
+
+
+class TestSearchAgreement:
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(_Q_EPS, _SLOPPY))
+    def test_dp_brute_and_ordered_agree(self, q):
+        dp = _search_or_none(best_order_dp, q)
+        bf = _search_or_none(best_order_bruteforce, q)
+        assert (dp is None) == (bf is None)
+        if dp is None:
+            return
+        rtol = _cond_rtol(q)
+        for res in (dp, bf):
+            assert csep_ordered(q, res.ordering).value == res.value
+        assert abs(dp.value - bf.value) <= rtol * bf.value
+
+    def test_block_diagonal_n16(self):
+        rng = np.random.default_rng(12)
+        blocks = [rand_spd(rng, m) for m in (6, 6, 4)]
+        perm = rng.permutation(16)
+        q = block_diag(*blocks)[np.ix_(perm, perm)]
+        expected = sum(np.sqrt(best_order_bruteforce(b).value) for b in blocks) ** 2
+        res = best_order_dp(q)
+        assert abs(res.value - expected) <= _cond_rtol(q) * expected
