@@ -21,16 +21,10 @@ the direct numerical comparison so disagreements are visible.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import NotApplicable, NotPositiveDefinite, SingularQfim
-from .linalg import (
-    cholesky,
-    determinant,
-    lower_inverse,
-    nuclear_norm,
-    pivot_tol,
-    spd_inverse,
-)
+from .linalg import _qfim_factor, nuclear_norm, pivot_determinant, spd_inverse
 from .stepwise import csep_ordered
 
 COMPARE_RTOL = 1e-9
@@ -124,12 +118,8 @@ def quantumness_R(q, u):
     Computed as the spectral norm of L^-1 (iU) L^-T with Q = L L^T, which is
     similar to i Q^-1 U but Hermitian.
     """
-    q = np.asarray(q, dtype=float)
+    linv = lapack.dtrtri(_qfim_factor(q), lower=1)[0]
     u = np.asarray(u, dtype=float)
-    try:
-        linv = lower_inverse(cholesky(q))
-    except NotPositiveDefinite as exc:
-        raise SingularQfim(str(exc)) from exc
     k = linv @ (1j * u) @ linv.T
     return float(np.max(np.abs(np.linalg.eigvalsh(k))))
 
@@ -148,9 +138,7 @@ def quantumness_T(q, u, w=None):
 
 def r2_closed(q, u):
     """Two-parameter closed form sqrt(det U / det Q); det U = U_12^2."""
-    det_q = determinant(q)
-    if det_q <= 0:
-        raise SingularQfim("det Q <= 0")
+    det_q = pivot_determinant(_qfim_factor(q))
     u = np.asarray(u, dtype=float)
     return float(np.sqrt(u[0, 1] ** 2 / det_q))
 
@@ -171,9 +159,7 @@ def axial_vector(u):
 
 def r3_closed(q, u):
     """Three-parameter closed form sqrt(u^T Q u / det Q)."""
-    det_q = determinant(q)
-    if det_q <= 0:
-        raise SingularQfim("det Q <= 0")
+    det_q = pivot_determinant(_qfim_factor(q))
     v = axial_vector(u)
     return float(np.sqrt(v @ np.asarray(q, dtype=float) @ v / det_q))
 
@@ -193,9 +179,7 @@ def t3_unnormalized_value(q, u, w=None):
     if not np.allclose(wm, np.diag(wd)):
         raise ValueError("the printed three-parameter form needs a diagonal weight")
     w_tilde = np.diag([wd[1] * wd[2], wd[0] * wd[2], wd[0] * wd[1]])
-    det_q = determinant(q)
-    if det_q <= 0:
-        raise SingularQfim("det Q <= 0")
+    det_q = pivot_determinant(_qfim_factor(q))
     v = axial_vector(u)
     return float(2.0 * np.sqrt(v @ q @ w_tilde @ q @ v) / det_q)
 
@@ -216,8 +200,9 @@ def is_pure_qubit_pair(q, u, rtol=PURE_QUBIT_RTOL):
     u = np.asarray(u, dtype=float)
     if q.shape != (2, 2):
         return False
-    det_q = determinant(q)
-    if det_q <= 0:
+    try:
+        det_q = pivot_determinant(_qfim_factor(q))
+    except SingularQfim:
         return False
     return abs(det_q - u[0, 1] ** 2) <= rtol * max(det_q, u[0, 1] ** 2)
 
@@ -244,12 +229,12 @@ def c_holevo_qubit_pure(q, w=None, u=None):
 
 
 def sloppiness(q):
-    """s = 1 / det Q; +inf when the determinant falls below the pivot tolerance."""
-    q = np.asarray(q, dtype=float)
-    det_q = determinant(q)
-    if det_q < pivot_tol(q) or not np.isfinite(det_q):
+    """s = 1 / det Q; +inf when Q is singular under the pivot rule or det Q underflows."""
+    try:
+        det_q = pivot_determinant(_qfim_factor(q))
+    except SingularQfim:
         return np.inf
-    return 1.0 / det_q
+    return 1.0 / det_q if det_q > 0.0 else np.inf
 
 
 def threshold_csep_vs(target, q, u):

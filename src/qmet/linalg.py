@@ -1,24 +1,28 @@
 """Dense symmetric/Hermitian matrix kernels used throughout the package.
 
-All matrices are plain numpy arrays.  Dimensions are tiny (information
-matrices have n <= 20, operators have d <= 3), so the routines favour
-clarity and strict error semantics over throughput.
+All matrices are plain numpy arrays, and information matrices have
+n <= 20.  Every decision on whether a QFIM is singular goes through one
+LAPACK Cholesky factorization (:func:`_cholesky`) and one rule: a
+matrix is singular when a squared pivot diag(L)^2 is non-finite or at or
+below :func:`pivot_tol`.
 """
 
 import numpy as np
+from scipy.linalg import lapack
 
-from .errors import NotPositiveDefinite
+from .errors import NotPositiveDefinite, SingularQfim
 
 PIVOT_TOL_FACTOR = 1e-12
 
 
 def pivot_tol(m) -> float:
-    """Absolute tolerance below which a Cholesky pivot counts as zero.
+    """Absolute tolerance below which a squared Cholesky pivot counts as zero.
 
-    Scaled to the matrix: ``1e-12 * max(diag)``, floored at zero.
+    Scaled to the matrix: ``1e-12 * max(diag)``, floored at zero.  It does
+    not change when the matrix is symmetrically permuted.
     """
     m = np.asarray(m, dtype=float)
-    return PIVOT_TOL_FACTOR * max(float(np.max(np.diag(m))), 0.0)
+    return PIVOT_TOL_FACTOR * max(float(m.diagonal().max()), 0.0)
 
 
 def symmetrize(m) -> np.ndarray:
@@ -32,49 +36,64 @@ def _require_square(m, name="matrix"):
         raise ValueError(f"{name} must be square, got shape {m.shape}")
 
 
-def _require_symmetric(m, name="matrix"):
-    _require_square(m, name)
-    scale = 1.0 + float(np.max(np.abs(m)))
-    if np.max(np.abs(m - m.T)) > 1e-8 * scale:
-        raise ValueError(f"{name} is not symmetric")
-
-
-def cholesky(m, tol=None) -> np.ndarray:
-    """Lower-triangular L with ``L @ L.T == m`` for symmetric positive-definite m.
-
-    Raises NotPositiveDefinite as soon as a pivot falls at or below ``tol``
-    (default :func:`pivot_tol`), which is how a singular or invalid QFIM is
-    detected everywhere else in the package.
-    """
+def _checked_symmetric(m, name="matrix") -> np.ndarray:
+    """``m`` as a symmetrized float array, after checking it is a non-empty symmetric matrix."""
     m = np.asarray(m, dtype=float)
-    _require_symmetric(m)
-    a = symmetrize(m)
-    n = a.shape[0]
-    if tol is None:
-        tol = pivot_tol(a)
-    L = np.zeros((n, n))
-    for j in range(n):
-        piv = a[j, j] - L[j, :j] @ L[j, :j]
-        if not np.isfinite(piv) or piv <= tol:
-            raise NotPositiveDefinite(
-                f"pivot {piv:.3e} at index {j} is at or below tolerance {tol:.3e}"
-            )
-        L[j, j] = np.sqrt(piv)
-        if j + 1 < n:
-            L[j + 1:, j] = (a[j + 1:, j] - L[j + 1:, :j] @ L[j, :j]) / L[j, j]
+    _require_square(m, name)
+    if m.size == 0:
+        raise ValueError(f"{name} is empty")
+    scale = 1.0 + float(np.abs(m).max())
+    if np.abs(m - m.T).max() > 1e-8 * scale:
+        raise ValueError(f"{name} is not symmetric")
+    return symmetrize(m)
+
+
+def _cholesky(a) -> np.ndarray:
+    """Lower Cholesky factor of the symmetric float matrix ``a``, without validation.
+
+    Applies the package's singularity rule and raises NotPositiveDefinite
+    naming the first squared pivot that is non-finite or at or below
+    :func:`pivot_tol`, or at which LAPACK stops.
+    """
+    tol = pivot_tol(a)
+    try:
+        L = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        # numpy does not say where LAPACK stopped; dpotrf's info does.  The
+        # pivots before that index are complete and the one at it failed.
+        c, info = lapack.dpotrf(a, lower=1)
+        ok = np.append(np.diag(c)[:info - 1] ** 2 > tol, False)
+    else:
+        ok = np.diag(L) ** 2 > tol  # NaN compares False
+    if not ok.all():
+        j = int(np.flatnonzero(~ok)[0])
+        raise NotPositiveDefinite(
+            f"squared pivot at index {j} is non-finite or at or below tolerance {tol:.3e}"
+        )
     return L
 
 
-def lower_inverse(L) -> np.ndarray:
-    """Inverse of a lower-triangular matrix by forward substitution."""
-    L = np.asarray(L, dtype=float)
-    n = L.shape[0]
-    inv = np.zeros_like(L)
-    for j in range(n):
-        inv[j, j] = 1.0 / L[j, j]
-        for i in range(j + 1, n):
-            inv[i, j] = -(L[i, j:i] @ inv[j:i, j]) / L[i, i]
-    return inv
+def cholesky(m) -> np.ndarray:
+    """Lower-triangular L with ``L @ L.T == m`` for symmetric positive-definite m.
+
+    Raises NotPositiveDefinite when m is singular under the pivot rule of
+    :func:`_cholesky`, the rule by which a singular or invalid QFIM is
+    detected everywhere else in the package.
+    """
+    return _cholesky(_checked_symmetric(m))
+
+
+def _qfim_factor(q) -> np.ndarray:
+    """:func:`cholesky` of a QFIM, raising SingularQfim where it raises NotPositiveDefinite."""
+    try:
+        return cholesky(q)
+    except NotPositiveDefinite as exc:
+        raise SingularQfim(str(exc)) from exc
+
+
+def pivot_determinant(L) -> float:
+    """``det(L @ L.T)`` as the product of the squared pivots diag(L)^2."""
+    return float(np.prod(np.diag(L)) ** 2)
 
 
 def spd_inverse(m) -> np.ndarray:
@@ -82,8 +101,8 @@ def spd_inverse(m) -> np.ndarray:
 
     Raises NotPositiveDefinite for non-SPD input.
     """
-    Linv = lower_inverse(cholesky(m))
-    return symmetrize(Linv.T @ Linv)
+    linv = lapack.dtrtri(cholesky(m), lower=1)[0]
+    return symmetrize(linv.T @ linv)
 
 
 def trailing_submatrix(m, j) -> np.ndarray:
@@ -103,17 +122,15 @@ def trailing_submatrix(m, j) -> np.ndarray:
 def determinant(m) -> float:
     """Determinant of a symmetric matrix.
 
-    SPD input is evaluated as the squared product of its Cholesky pivots;
-    anything else falls back to an LU determinant (which may be zero or
-    negative).
+    SPD input is evaluated as :func:`pivot_determinant` of its Cholesky
+    factor; anything else falls back to an LU determinant (which may be
+    zero or negative).
     """
-    m = np.asarray(m, dtype=float)
-    _require_symmetric(m)
+    a = _checked_symmetric(m)
     try:
-        L = cholesky(m)
+        return pivot_determinant(_cholesky(a))
     except NotPositiveDefinite:
-        return float(np.linalg.det(symmetrize(m)))
-    return float(np.prod(np.diag(L)) ** 2)
+        return float(np.linalg.det(a))
 
 
 def is_hermitian(m, rtol=1e-10) -> bool:

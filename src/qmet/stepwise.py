@@ -24,15 +24,15 @@ from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import NotPositiveDefinite, SingularQfim, TooManyParameters
 from .linalg import (
-    _require_symmetric,
-    cholesky,
-    determinant,
+    _checked_symmetric,
+    _cholesky,
+    _qfim_factor,
+    pivot_determinant,
     pivot_tol,
-    spd_inverse,
-    symmetrize,
 )
 
 BRUTE_FORCE_MAX = 8
@@ -105,21 +105,18 @@ def _weight_diag(w, n):
     return w
 
 
-def _step_terms(qp, tol):
+def _step_terms(qp):
     """A_j for the already-permuted matrix, or None when the ordering is singular.
 
     One Cholesky factorization of the reverse-permuted matrix gives every
     trailing block at once: its k-th squared pivot is
     det Q_{n-k..n} / det Q_{n-k+1..n}, so A = 1 / diag(L)^2 read backwards.
-    The ordering is singular when the factorization fails or any squared
-    pivot is non-finite or at or below ``tol`` (:func:`pivot_tol`, the
-    tolerance of the ordering search as well).
+    The ordering is singular under the pivot rule of ``linalg._cholesky``,
+    whose tolerance :func:`pivot_tol` the ordering search shares.
     """
     try:
-        piv = np.diag(np.linalg.cholesky(qp[::-1, ::-1])) ** 2
-    except np.linalg.LinAlgError:
-        return None
-    if not np.all(np.isfinite(piv)) or np.any(piv <= tol):
+        piv = np.diag(_cholesky(qp[::-1, ::-1])) ** 2
+    except NotPositiveDefinite:
         return None
     return 1.0 / piv[::-1]
 
@@ -132,14 +129,12 @@ def csep_ordered(q, order=None, w=None):
     weights (diagonal weight matrix); the weight of the parameter estimated
     at step j multiplies that step's variance term.
     """
-    q = np.asarray(q, dtype=float)
-    _require_symmetric(q, "QFIM")
-    q = symmetrize(q)
+    q = _checked_symmetric(q, "QFIM")
     n = q.shape[0]
     order = _validate_ordering(order if order is not None else range(1, n + 1), n)
     wd = _weight_diag(w, n)
     idx = [o - 1 for o in order]
-    a = _step_terms(q[np.ix_(idx, idx)], pivot_tol(q))
+    a = _step_terms(q[np.ix_(idx, idx)])
     if a is None:
         raise SingularQfim("a Cholesky pivot of the permuted QFIM is at or below tolerance")
     weighted = wd[list(idx)] * a
@@ -155,33 +150,23 @@ def csep_ordered(q, order=None, w=None):
 
 def csep_cholesky(q):
     """Stepwise bound of the reversed order (n, ..., 1) as (Tr L^-1)^2, Q = L L^T."""
-    q = np.asarray(q, dtype=float)
-    try:
-        L = cholesky(q)
-    except NotPositiveDefinite as exc:
-        raise SingularQfim(str(exc)) from exc
-    return float(np.sum(1.0 / np.diag(L)) ** 2)
+    return float(np.sum(1.0 / np.diag(_qfim_factor(q))) ** 2)
 
 
 def brackets(q):
     """Order-independent bracket n^3/TrQ <= n^2 det(Q)^(-1/n) <= C_sep <= n Tr[Q^-1].
 
     Both outer bounds saturate simultaneously iff Q is a positive multiple
-    of the identity.
+    of the identity.  One factorization Q = L L^T gives det Q as the
+    product of squared pivots and Tr[Q^-1] = ||L^-1||_F^2.
     """
-    q = np.asarray(q, dtype=float)
-    n = q.shape[0]
-    det = determinant(q)
-    if det <= 0:
-        raise SingularQfim("QFIM determinant is <= 0")
-    try:
-        inv = spd_inverse(q)
-    except NotPositiveDefinite as exc:
-        raise SingularQfim(str(exc)) from exc
+    L = _qfim_factor(q)
+    n = L.shape[0]
+    linv = lapack.dtrtri(L, lower=1)[0]
     return Brackets(
         harmonic_lower=float(n**3 / np.trace(q)),
-        geometric_lower=float(n**2 * det ** (-1.0 / n)),
-        upper=float(n * np.trace(inv)),
+        geometric_lower=float(n**2 * pivot_determinant(L) ** (-1.0 / n)),
+        upper=float(n * np.sum(linv**2)),
     )
 
 
@@ -192,20 +177,17 @@ def best_order_bruteforce(q, w=None):
     a singular trailing block are skipped rather than raised, so the search
     survives matrices that are singular only along some directions.
     """
-    q = np.asarray(q, dtype=float)
-    _require_symmetric(q, "QFIM")
-    q = symmetrize(q)
+    q = _checked_symmetric(q, "QFIM")
     n = q.shape[0]
     if n > BRUTE_FORCE_MAX:
         raise TooManyParameters(
             f"brute force is guarded at n <= {BRUTE_FORCE_MAX}, got n = {n}"
         )
     wd = _weight_diag(w, n)
-    tol = pivot_tol(q)
     best_order, best_value = None, np.inf
     for perm in permutations(range(1, n + 1)):
         idx = [o - 1 for o in perm]
-        a = _step_terms(q[np.ix_(idx, idx)], tol)
+        a = _step_terms(q[np.ix_(idx, idx)])
         value = np.inf if a is None else float(np.sum(np.sqrt(wd[idx] * a)) ** 2)
         if value < best_value:
             best_order, best_value = perm, value
@@ -230,9 +212,7 @@ def dp_tables(q, w=None):
     factorized.  A Schur complement at or below :func:`pivot_tol` makes the
     candidate infeasible, and ties keep the smallest j.
     """
-    q = np.asarray(q, dtype=float)
-    _require_symmetric(q, "QFIM")
-    q = symmetrize(q)
+    q = _checked_symmetric(q, "QFIM")
     n = q.shape[0]
     if n > DP_MAX:
         raise TooManyParameters(f"DP is guarded at n <= {DP_MAX}, got n = {n}")

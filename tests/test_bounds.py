@@ -19,9 +19,10 @@ from qmet.bounds import (
     threshold_csep_vs,
     weight_matrix,
 )
-from qmet.errors import NotApplicable, SingularQfim
+from qmet.errors import NotApplicable, NotPositiveDefinite, SingularQfim
+from qmet.linalg import cholesky
 from qmet.models import eval_qubit2, eval_qutrit2, geometry_vectors
-from qmet.stepwise import csep_ordered
+from qmet.stepwise import brackets, csep_cholesky, csep_ordered
 
 from helpers import qubit_instance, rand_antisym, rand_spd
 
@@ -314,3 +315,76 @@ class TestReport:
             weight_matrix([1.0, -2.0], 2)
         with pytest.raises(ValueError):
             weight_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]), 2)
+
+
+U_TWO = np.array([[0.0, 1.0], [-1.0, 0.0]])
+U_THREE = np.array([[0.0, 3.0, -2.0], [-3.0, 0.0, 1.0], [2.0, -1.0, 0.0]])
+
+
+def _raises(call, exc=SingularQfim):
+    try:
+        call()
+    except exc:
+        return True
+    return False
+
+
+def _rule_inputs():
+    """Negative-definite, indefinite, tiny-scale, near-singular and non-finite QFIMs."""
+    qs = [
+        -np.eye(2),
+        -np.eye(3),
+        np.diag([-1.0, -1.0, 2.0]),
+        np.diag([1.0, -1.0, 1.0]),
+        np.array([[1.0, 2.0], [2.0, 1.0]]),
+        1e-7 * np.eye(3),
+        1e-13 * np.eye(2),
+    ]
+    qs += [c * np.eye(n) for n in (2, 3) for c in np.logspace(-13.0, 3.0, 17)]
+    for eps in (0.0, 1e-15, 1e-13, 1e-12, 2e-12, 3e-12, 1e-11, 1e-9, 1e-6):
+        qs.append(np.array([[1.0, 1.0, 0.0], [1.0, 1.0 + eps, 0.0], [0.0, 0.0, 2.0]]))
+    for n in (2, 3):
+        for bad in (np.nan, np.inf, -np.inf):
+            for at in ((0, 0), (n - 1, 0), (n - 1, n - 1)):
+                q = np.eye(n) + 0.1
+                q[at] = bad
+                qs.append(q)
+    return qs
+
+
+class TestSingularityRule:
+    """Every QFIM-level function applies the one Cholesky pivot rule."""
+
+    def test_functions_agree(self):
+        for q in _rule_inputs():
+            n = q.shape[0]
+            u = U_TWO if n == 2 else U_THREE
+            verdicts = {
+                "cholesky": _raises(lambda: cholesky(q), NotPositiveDefinite),
+                "sloppiness": sloppiness(q) == np.inf,
+                "brackets": _raises(lambda: brackets(q)),
+                "c_sld": _raises(lambda: c_sld(q)),
+                "quantumness_R": _raises(lambda: quantumness_R(q, u)),
+                "csep_cholesky": _raises(lambda: csep_cholesky(q)),
+                "csep_ordered": _raises(lambda: csep_ordered(q, tuple(range(n, 0, -1)))),
+            }
+            if n == 2:
+                verdicts["r2_closed"] = _raises(lambda: r2_closed(q, u))
+            else:
+                verdicts["r3_closed"] = _raises(lambda: r3_closed(q, u))
+                verdicts["t3_unnormalized_value"] = _raises(lambda: t3_unnormalized_value(q, u))
+            assert len(set(verdicts.values())) == 1, (q, verdicts)
+            if n == 2 and verdicts["cholesky"]:
+                assert not is_pure_qubit_pair(q, u), q
+
+    def test_non_spd_and_small_scale_cases(self):
+        assert sloppiness(-np.eye(2)) == np.inf
+        with pytest.raises(SingularQfim):
+            r2_closed(-np.eye(2), U_TWO)
+        with pytest.raises(SingularQfim):
+            r3_closed(np.diag([-1.0, -1.0, 2.0]), U_THREE)
+        assert not is_pure_qubit_pair(-np.eye(2), U_TWO)
+        assert sloppiness(1e-7 * np.eye(3)) == pytest.approx(1e21, rel=1e-12)
+        verdict = threshold_csep_vs("c_s", 1e-13 * np.eye(2), np.zeros((2, 2)))
+        assert verdict.consistent
+        assert csep_ordered(1e-13 * np.eye(2)).value == pytest.approx(4e13, rel=1e-12)

@@ -5,13 +5,13 @@ from qmet.errors import NotPositiveDefinite
 from qmet.linalg import (
     cholesky,
     determinant,
-    lower_inverse,
     nuclear_norm,
     spd_inverse,
     spectral_norm,
     symmetrize,
     trailing_submatrix,
 )
+from qmet.stepwise import best_order_bruteforce, best_order_dp, csep_ordered, dp_tables
 
 from helpers import det_cofactor, rand_spd
 
@@ -50,6 +50,13 @@ class TestCholesky:
         m = np.outer(v, v) + 1e-16 * np.eye(3)
         with pytest.raises(NotPositiveDefinite):
             cholesky(m)
+
+    def test_error_names_first_bad_pivot(self):
+        # a tiny positive pivot before the negative one at which LAPACK stops
+        with pytest.raises(NotPositiveDefinite, match="index 1 "):
+            cholesky(np.diag([1.0, 1e-20, -1.0]))
+        with pytest.raises(NotPositiveDefinite, match="index 2 "):
+            cholesky([[1.0, 0.0, np.nan], [0.0, 1.0, 0.0], [np.nan, 0.0, 1.0]])
 
 
 class TestDeterminant:
@@ -140,12 +147,16 @@ class TestNorms:
             assert hi <= n * lo + 1e-12
 
 
-class TestSolvers:
-    def test_lower_inverse(self):
-        rng = np.random.default_rng(29)
-        L = cholesky(rand_spd(rng, 5))
-        assert np.allclose(lower_inverse(L) @ L, np.eye(5), atol=1e-12)
+class TestValidation:
+    def test_empty_matrix_rejected(self):
+        empty = np.zeros((0, 0))
+        for call in (cholesky, determinant, csep_ordered, dp_tables, best_order_dp,
+                     best_order_bruteforce):
+            with pytest.raises(ValueError, match="empty"):
+                call(empty)
 
+
+class TestSolvers:
     def test_spd_inverse(self):
         rng = np.random.default_rng(31)
         for _ in range(40):
