@@ -24,7 +24,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import NotApplicable, NotPositiveDefinite, SingularQfim
-from .linalg import _qfim_factor, nuclear_norm, pivot_determinant, spd_inverse
+from .linalg import _qfim_factor, nuclear_norm, pivot_determinant, pivot_product, spd_inverse
 from .stepwise import csep_ordered
 
 COMPARE_RTOL = 1e-9
@@ -137,10 +137,10 @@ def quantumness_T(q, u, w=None):
 
 
 def r2_closed(q, u):
-    """Two-parameter closed form sqrt(det U / det Q); det U = U_12^2."""
-    det_q = pivot_determinant(_qfim_factor(q))
+    """Two-parameter closed form sqrt(det U / det Q) = |U_12| / sqrt(det Q)."""
+    root_det_q = pivot_product(_qfim_factor(q))
     u = np.asarray(u, dtype=float)
-    return float(np.sqrt(u[0, 1] ** 2 / det_q))
+    return float(abs(u[0, 1]) / root_det_q)
 
 
 def t2_closed(q, u, omega=1.0):
@@ -159,9 +159,9 @@ def axial_vector(u):
 
 def r3_closed(q, u):
     """Three-parameter closed form sqrt(u^T Q u / det Q)."""
-    det_q = pivot_determinant(_qfim_factor(q))
+    root_det_q = pivot_product(_qfim_factor(q))
     v = axial_vector(u)
-    return float(np.sqrt(v @ np.asarray(q, dtype=float) @ v / det_q))
+    return float(np.sqrt(v @ np.asarray(q, dtype=float) @ v) / root_det_q)
 
 
 def t3_unnormalized_value(q, u, w=None):
@@ -179,9 +179,9 @@ def t3_unnormalized_value(q, u, w=None):
     if not np.allclose(wm, np.diag(wd)):
         raise ValueError("the printed three-parameter form needs a diagonal weight")
     w_tilde = np.diag([wd[1] * wd[2], wd[0] * wd[2], wd[0] * wd[1]])
-    det_q = pivot_determinant(_qfim_factor(q))
+    root_det_q = pivot_product(_qfim_factor(q))
     v = axial_vector(u)
-    return float(2.0 * np.sqrt(v @ q @ w_tilde @ q @ v) / det_q)
+    return float(2.0 * np.sqrt(v @ q @ w_tilde @ q @ v) / root_det_q / root_det_q)
 
 
 def c_t(q, u, w=None):

@@ -21,8 +21,11 @@ solved by a primal-dual path-following method in the dual-scaling flavor:
 the search direction in the variables z comes from the Newton system
 M dz = mu tr[G_k G^-1] - c with M_kl = tr[G_k Y G_l G^-1] symmetrized,
 and the cone multiplier Y is updated from the linearized complementarity
-condition.  Problem sizes here are tiny (at most ~21 variables and a
-24 x 24 realified block), so no exploitation of sparsity is attempted.
+condition.  The p constraint matrices G_k (m x m; p = 21 and m = 12 for
+the three-parameter qutrit) are kept as one flattened p x m^2 stack: M is
+one batched matmul T_k = Y G_k G^-1 followed by one GEMM with the stack, and
+every other term of an iteration is a product with it.  The G_k have one or
+two nonzero blocks each; that sparsity is not exploited.
 """
 
 from dataclasses import dataclass
@@ -60,11 +63,18 @@ class HolevoSolution:
     constraint_residual: float
 
     def to_json(self):
-        return {"value": self.value, "status": self.status, "gap": self.gap}
+        keys = ("value", "status", "gap", "iterations", "constraint_residual")
+        return {key: getattr(self, key) for key in keys}
 
 
 def _realify(m):
-    return np.block([[m.real, -m.imag], [m.imag, m.real]])
+    """[[Re M, -Im M], [Im M, Re M]] of each complex k x k matrix in a stack."""
+    k = m.shape[-1]
+    out = np.empty(m.shape[:-2] + (2, k, 2, k))
+    out[..., 0, :, 0, :] = out[..., 1, :, 1, :] = m.real
+    out[..., 1, :, 0, :] = m.imag
+    out[..., 0, :, 1, :] = -m.imag
+    return out.reshape(m.shape[:-2] + (2 * k, 2 * k))
 
 
 def _validate_inputs(rho, drho):
@@ -108,6 +118,18 @@ def _max_step(p, dp):
     return min(1.0, -_BOUNDARY_FRACTION / lam_min)
 
 
+def _newton_system(gflat, y, ginv):
+    """Newton matrix M_kl = tr[G_k Y G_l G^-1], symmetrized, and tr[G_k G^-1].
+
+    ``gflat`` stacks the symmetric G_k as rows, so tr[G_k A] = ``gflat[k] @ A.ravel()``
+    for any A, and M is one GEMM of the stack with the products T_l = Y G_l G^-1.
+    """
+    p, m = gflat.shape[0], y.shape[0]
+    t_mats = y @ gflat.reshape(p, m, m) @ ginv
+    mm = gflat @ t_mats.reshape(p, m * m).T
+    return 0.5 * (mm + mm.T), gflat @ ginv.ravel()
+
+
 def holevo_bound(rho, drho, w=None, sdp_tol=SDP_TOL, max_iterations=MAX_ITERATIONS):
     """Holevo bound of a (pure or mixed) model given rho and its derivatives.
 
@@ -121,12 +143,11 @@ def holevo_bound(rho, drho, w=None, sdp_tol=SDP_TOL, max_iterations=MAX_ITERATIO
     n = len(drho)
     wm = weight_matrix(w, n)
     basis = hermitian_operator_basis(d)
-    nb = len(basis)
+    stacked = np.array(basis)  # nb x d x d
+    e_ops = np.array(drho + [rho])  # d_1 rho, ..., d_n rho, rho
 
     # unbiasedness constraints E x_u = (e_u; 0), stacked over the basis
-    dmat = np.array([[np.trace(dr @ b).real for b in basis] for dr in drho])
-    rvec = np.array([np.trace(rho @ b).real for b in basis])
-    e_mat = np.vstack([dmat, rvec])
+    e_mat = np.einsum("kab,iba->ki", e_ops, stacked).real
     rhs = np.vstack([np.eye(n), np.zeros((1, n))])
     x0, *_ = np.linalg.lstsq(e_mat, rhs, rcond=None)
     if np.max(np.abs(e_mat @ x0 - rhs)) > CONSTRAINT_TOL:
@@ -136,7 +157,7 @@ def holevo_bound(rho, drho, w=None, sdp_tol=SDP_TOL, max_iterations=MAX_ITERATIO
     nullspace = vt[rank:].T  # nb x f
 
     # Gram matrix S_ij = Tr[rho b_i b_j], factored at numerical rank
-    s_mat = np.array([[np.trace(rho @ bi @ bj) for bj in basis] for bi in basis])
+    s_mat = np.einsum("iab,jba->ij", rho @ stacked, stacked)
     evals, evecs = np.linalg.eigh(s_mat)
     keep = evals > 1e-12 * max(evals[-1], 1e-300)
     r_fact = (np.sqrt(evals[keep])[:, None] * evecs[:, keep].conj().T)  # r x nb
@@ -150,25 +171,20 @@ def holevo_bound(rho, drho, w=None, sdp_tol=SDP_TOL, max_iterations=MAX_ITERATIO
 
     mc = n + r_rank
     m = 2 * mc
-    nv = n * (n + 1) // 2
+    upper = np.triu_indices(n)  # the V_ab, a <= b, in row-major order
+    nv = len(upper[0])
     p = nv + n * f
 
-    pairs = [(a, b) for a in range(n) for b in range(a, n)]
-    gk = np.zeros((p, m, m))
+    # complex Schur blocks of the G_k: V_ab first, then xi_(mu, l) at nv + mu f + l
+    blk = np.zeros((p, mc, mc), dtype=complex)
+    blk[np.arange(nv), upper[0], upper[1]] = blk[np.arange(nv), upper[1], upper[0]] = 1.0
+    xi_blk = blk[nv:].reshape(n, f, mc, mc)  # a view into blk
+    cols = r_null[:, visible].T  # f x r: R applied to each kept null-space direction
+    xi_blk[np.arange(n), :, n:, np.arange(n)] = cols
+    xi_blk[np.arange(n), :, np.arange(n), n:] = cols.conj()
+    gflat = _realify(blk).reshape(p, m * m)
     cvec = np.zeros(p)
-    for k, (a, b) in enumerate(pairs):
-        blk = np.zeros((mc, mc), dtype=complex)
-        blk[a, b] = blk[b, a] = 1.0
-        gk[k] = _realify(blk)
-        cvec[k] = wm[a, a] if a == b else 2.0 * wm[a, b]
-    for mu in range(n):
-        for l in range(f):
-            k = nv + mu * f + l
-            col = r_fact @ nullspace[:, l]
-            blk = np.zeros((mc, mc), dtype=complex)
-            blk[n:, mu] = col
-            blk[mu, n:] = col.conj()
-            gk[k] = _realify(blk)
+    cvec[:nv] = (2.0 * wm - np.diag(np.diag(wm)))[upper]
 
     rx0 = r_fact @ x0
     g0_blk = np.zeros((mc, mc), dtype=complex)
@@ -181,10 +197,8 @@ def holevo_bound(rho, drho, w=None, sdp_tol=SDP_TOL, max_iterations=MAX_ITERATIO
     k0 = rx0.conj().T @ rx0
     v_shift = 2.0 * max(float(np.max(np.linalg.eigvalsh(k0))), 0.0) + 1.0
     z = np.zeros(p)
-    for k, (a, b) in enumerate(pairs):
-        if a == b:
-            z[k] = v_shift
-    g = g0 + np.tensordot(z, gk, axes=1)
+    z[:nv][upper[0] == upper[1]] = v_shift
+    g = g0 + (z @ gflat).reshape(m, m)
     y = np.eye(m)
 
     status = "max_iter"
@@ -198,7 +212,7 @@ def holevo_bound(rho, drho, w=None, sdp_tol=SDP_TOL, max_iterations=MAX_ITERATIO
         gap = float(np.sum(y * g))
         obj = float(cvec @ z)
         scale = 1.0 + abs(obj)
-        resid = float(np.max(np.abs(np.einsum("kij,ji->k", gk, y) - cvec)))
+        resid = float(np.max(np.abs(gflat @ y.ravel() - cvec)))  # y is symmetric
         if gap <= sdp_tol * scale and resid <= CONSTRAINT_TOL * scale:
             status = "converged"
             if gap <= _POLISH_TOL * scale:
@@ -206,16 +220,13 @@ def holevo_bound(rho, drho, w=None, sdp_tol=SDP_TOL, max_iterations=MAX_ITERATIO
         if gap <= 0.5 * _POLISH_TOL * scale:
             break
         mu = sigma * gap / m
-        tr_gk_ginv = np.einsum("kij,ji->k", gk, ginv)
-        t_mats = np.einsum("ab,kbc,cd->kad", y, gk, ginv)
-        mm = np.einsum("kab,lba->kl", gk, t_mats)
-        mm = 0.5 * (mm + mm.T)
+        mm, tr_gk_ginv = _newton_system(gflat, y, ginv)
         rhs_vec = mu * tr_gk_ginv - cvec
         try:
             dz = np.linalg.solve(mm + 1e-14 * np.trace(mm) / p * np.eye(p), rhs_vec)
         except np.linalg.LinAlgError:
             break
-        dg = np.tensordot(dz, gk, axes=1)
+        dg = (dz @ gflat).reshape(m, m)
         dy = mu * ginv - y - 0.5 * (ginv @ dg @ y + y @ dg @ ginv)
         dy = 0.5 * (dy + dy.T)
         alpha_z = _max_step(g, dg)
@@ -223,7 +234,7 @@ def holevo_bound(rho, drho, w=None, sdp_tol=SDP_TOL, max_iterations=MAX_ITERATIO
         if max(alpha_z, alpha_y) < 1e-10:
             break
         z = z + alpha_z * dz
-        g = g0 + np.tensordot(z, gk, axes=1)
+        g = g0 + (z @ gflat).reshape(m, m)
         y = y + alpha_y * dy
         sigma = 0.15 if min(alpha_z, alpha_y) > 0.9 else 0.5
         if prev_gap / max(gap, 1e-300) < 1.000001 and gap < 1e3 * sdp_tol * scale:
@@ -232,27 +243,21 @@ def holevo_bound(rho, drho, w=None, sdp_tol=SDP_TOL, max_iterations=MAX_ITERATIO
 
     value = float(cvec @ z)
     v_opt = np.zeros((n, n))
-    for k, (a, b) in enumerate(pairs):
-        v_opt[a, b] = v_opt[b, a] = z[k]
+    v_opt[upper] = v_opt[upper[::-1]] = z[:nv]
     xi = z[nv:].reshape(n, f)
     coeffs = (x0 + nullspace @ xi.T).T  # n x nb
-    operators = [
-        sum(coeffs[u, i] * basis[i] for i in range(nb)) for u in range(n)
-    ]
-    resid = 0.0
-    for u, x_u in enumerate(operators):
-        resid = max(resid, abs(np.trace(rho @ x_u).real))
-        for v_idx, dr in enumerate(drho):
-            target = 1.0 if u == v_idx else 0.0
-            resid = max(resid, abs(np.trace(dr @ x_u).real - target))
+    operators = np.tensordot(coeffs, stacked, axes=1)  # n x d x d
+    # residual of Tr[d_v rho X_u] = delta_uv and Tr[rho X_u] = 0, from the operators
+    traces = np.einsum("kab,uba->uk", e_ops, operators).real
+    resid = float(np.max(np.abs(traces - np.eye(n, n + 1))))
     return HolevoSolution(
         value=value,
-        x_opt=UnbiasedFamily(operators=operators, basis=basis, coeffs=coeffs),
+        x_opt=UnbiasedFamily(operators=list(operators), basis=basis, coeffs=coeffs),
         v_opt=v_opt,
         status=status,
         gap=gap,
         iterations=iterations,
-        constraint_residual=float(resid),
+        constraint_residual=resid,
     )
 
 
@@ -262,13 +267,8 @@ def z_matrix(rho, operators):
     At the optimum Re Z dominates Q^-1 (the matrix Re Z - Q^-1 is PSD up to
     solver tolerance), which callers can check diagnostically.
     """
-    rho = np.asarray(rho, dtype=complex)
-    n = len(operators)
-    z = np.empty((n, n), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            z[a, b] = np.trace(rho @ operators[a] @ operators[b])
-    return z
+    ops = np.asarray(operators, dtype=complex)
+    return np.einsum("ab,ubc,vca->uv", np.asarray(rho, dtype=complex), ops, ops)
 
 
 def verify_sandwich(solution, q, u, w=None, tol=1e-6):

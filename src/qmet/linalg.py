@@ -91,9 +91,18 @@ def _qfim_factor(q) -> np.ndarray:
         raise SingularQfim(str(exc)) from exc
 
 
+def pivot_product(L) -> float:
+    """``sqrt(det(L @ L.T))`` as the product of the pivots diag(L).
+
+    Dividing by it rather than by its square keeps quotients finite on Q of
+    scale down to ~1e-300 / n, where :func:`pivot_determinant` underflows.
+    """
+    return float(np.prod(np.diag(L)))
+
+
 def pivot_determinant(L) -> float:
     """``det(L @ L.T)`` as the product of the squared pivots diag(L)^2."""
-    return float(np.prod(np.diag(L)) ** 2)
+    return pivot_product(L) ** 2
 
 
 def spd_inverse(m) -> np.ndarray:

@@ -168,6 +168,18 @@ def direct_holevo_min(rho, drho, n_starts=3, seed=0, budget=120_000):
     return best
 
 
+def newton_system_by_einsum(gk, y, ginv):
+    """Interior-point Newton matrix M_kl = tr[G_k Y G_l G^-1], symmetrized, and tr[G_k G^-1].
+
+    Reference for the solver's batched build: every trace is an einsum over
+    the p x m x m constraint stack, with no use of the symmetry of G_k.
+    """
+    tr_gk_ginv = np.einsum("kij,ji->k", gk, ginv)
+    t_mats = np.einsum("ab,kbc,cd->kad", y, gk, ginv)
+    mm = np.einsum("kab,lba->kl", gk, t_mats)
+    return 0.5 * (mm + mm.T), tr_gk_ginv
+
+
 def central_diff_state_derivatives(state_fn, p, h=1e-5):
     """Phase-aligned central differences of a state map, for use as an oracle."""
     p = np.asarray(p, dtype=float)

@@ -388,3 +388,13 @@ class TestSingularityRule:
         verdict = threshold_csep_vs("c_s", 1e-13 * np.eye(2), np.zeros((2, 2)))
         assert verdict.consistent
         assert csep_ordered(1e-13 * np.eye(2)).value == pytest.approx(4e13, rel=1e-12)
+
+    def test_closed_forms_where_det_q_underflows(self):
+        # det Q underflows to 0 here although every pivot passes the rule
+        q2 = 1e-170 * np.eye(2)
+        assert r2_closed(q2, U_TWO) == pytest.approx(quantumness_R(q2, U_TWO), rel=1e-12)
+        q3 = 1e-120 * np.diag([1.0, 2.0, 3.0])
+        assert r3_closed(q3, U_THREE) == pytest.approx(quantumness_R(q3, U_THREE), rel=1e-12)
+        assert t3_unnormalized_value(q3, U_THREE) == pytest.approx(
+            quantumness_T(q3, U_THREE) * c_sld(q3), rel=1e-12
+        )

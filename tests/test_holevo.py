@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qmet import holevo
 from qmet.bounds import c_holevo_qubit_pure, c_sld
 from qmet.errors import Infeasible
 from qmet.holevo import holevo_bound, verify_sandwich, z_matrix
@@ -16,7 +17,7 @@ from qmet.models import (
     qutrit3_model,
 )
 
-from helpers import direct_holevo_min, qubit_instance
+from helpers import direct_holevo_min, newton_system_by_einsum, qubit_instance
 
 PAULI = [
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -138,6 +139,56 @@ class TestAgainstDirectMinimization:
             assert abs(sol.value - oracle) / oracle <= 1e-6
 
 
+def _haar_qutrit3_problem(seed):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    model = qutrit3_model(z / np.linalg.norm(z), 1.0)
+    return density_and_derivatives(model, [1.0, np.pi / 7.0, np.pi / 5.0])
+
+
+def _mixed_qubit_problem():
+    # Bloch vectors of rho (|r| < 1, so rank 2) and of its two derivatives
+    r, d1, d2 = [0.3, -0.2, 0.4], [0.2, 0.1, -0.3], [-0.1, 0.4, 0.2]
+    rho = 0.5 * (np.eye(2) + np.tensordot(r, np.stack(PAULI), axes=1))
+    return rho, [0.5 * np.tensordot(d, np.stack(PAULI), axes=1) for d in (d1, d2)]
+
+
+class TestNewtonSystem:
+    """The GEMM Newton build against the per-trace einsum reference, at every iterate."""
+
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            lambda: qubit_problem(0.2, 0.3, 1.7, 1.1)[:2],
+            lambda: _haar_qutrit3_problem(11),
+            _mixed_qubit_problem,
+        ],
+        ids=["pure-qubit", "qutrit3-haar", "mixed-qubit"],
+    )
+    def test_matches_einsum_reference(self, monkeypatch, problem):
+        seen = []
+        build = holevo._newton_system
+
+        def spy(gflat, y, ginv):
+            out = build(gflat, y, ginv)
+            seen.append((gflat, y, ginv, out))
+            return out
+
+        monkeypatch.setattr(holevo, "_newton_system", spy)
+        rho, drho = problem()
+        assert holevo.holevo_bound(rho, drho).status == "converged"
+        assert len(seen) >= 5
+        for gflat, y, ginv, (mm, tr_gk_ginv) in seen:
+            m = y.shape[0]
+            ref_mm, ref_tr = newton_system_by_einsum(gflat.reshape(-1, m, m), y, ginv)
+            # entries are sums of products with cancellation, so the rounding
+            # error scales with the largest entry rather than with each entry
+            np.testing.assert_allclose(mm, ref_mm, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref_mm)))
+            np.testing.assert_allclose(
+                tr_gk_ginv, ref_tr, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref_tr))
+            )
+
+
 class TestSolverContracts:
     def test_constraint_residuals(self):
         rng = np.random.default_rng(3)
@@ -197,7 +248,7 @@ class TestSolverContracts:
     def test_json_shape(self):
         rho, drho, _ = qubit_problem(0.0, 0.0, np.pi, 1.0)
         doc = holevo_bound(rho, drho).to_json()
-        assert set(doc) == {"value", "status", "gap"}
+        assert set(doc) == {"value", "status", "gap", "iterations", "constraint_residual"}
 
     def test_converged_gap_within_tolerance(self):
         rho, drho, _ = qubit_problem(0.35, 0.1, 1.4, 1.2)
