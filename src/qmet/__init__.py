@@ -63,9 +63,7 @@ from .linalg import (
     determinant,
     nuclear_norm,
     spd_inverse,
-    spectral_norm,
     symmetrize,
-    trailing_submatrix,
 )
 from .models import (
     ModelEvaluation,
@@ -154,12 +152,10 @@ __all__ = [
     "run_scatter_study",
     "sloppiness",
     "spd_inverse",
-    "spectral_norm",
     "symmetrize",
     "t2_closed",
     "t3_unnormalized_value",
     "threshold_csep_vs",
-    "trailing_submatrix",
     "verify_sandwich",
     "weight_matrix",
     "z_matrix",

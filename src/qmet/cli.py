@@ -45,7 +45,7 @@ from .models import (
 )
 
 _FLOAT_KEYS = {"B", "theta", "phi", "t"}
-_INT_KEYS = {"seed", "n_states", "n_samples", "restarts", "multi"}
+_INT_KEYS = {"seed", "n_states", "n_samples", "multi"}
 _STR_KEYS = {"model", "q", "u", "bloch", "probe", "weight", "ordering", "method", "out"}
 KNOWN_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS
 
@@ -303,9 +303,7 @@ def cmd_scatter(cfg):
 
 def cmd_probe_opt(cfg):
     _require(cfg, ["B", "theta", "t"])
-    res = exp_mod.optimize_qutrit_probe(
-        cfg["B"], cfg["theta"], cfg["t"], seed=cfg["seed"], restarts=cfg["restarts"]
-    )
+    res = exp_mod.optimize_qutrit_probe(cfg["B"], cfg["theta"], cfg["t"])
     probe_flat = [float(x) for pair in zip(res.probe.real, res.probe.imag) for x in pair]
     _emit(
         cfg,
@@ -375,7 +373,6 @@ def build_parser():
         p.add_argument("--seed", type=int)
         p.add_argument("--n-states", dest="n_states", type=int)
         p.add_argument("--n-samples", dest="n_samples", type=int)
-        p.add_argument("--restarts", type=int)
         p.add_argument("--multi", type=int, help="number of scatter parameter sets")
         p.add_argument("--method", choices=["dp", "brute"])
         p.add_argument("--out", help="output CSV path (sweep commands)")
@@ -389,8 +386,6 @@ def effective_config(args):
         cfg.update(_SCATTER_DEFAULTS)
     elif args.command == "qubit-sweep":
         cfg.update({"n_samples": 1000, "seed": 0})
-    elif args.command == "probe-opt":
-        cfg.update({"seed": 0, "restarts": 32})
     if args.config:
         for key, value in load_config(args.config).items():
             cfg[key] = _convert(key, value)

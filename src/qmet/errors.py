@@ -30,7 +30,7 @@ class Infeasible(QmetError):
 
 
 class NoConvergence(QmetError):
-    """An iterative optimization failed to reach its convergence targets.
+    """A computed result failed to reach its convergence targets.
 
     The best result found is attached as ``.result`` when available.
     """

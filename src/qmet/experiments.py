@@ -1,8 +1,9 @@
 """Numerical studies: Haar sampling, the scatter comparison of C_H against
 the minimum-order stepwise bound for three-parameter qutrit models, the
-qutrit probe optimization, and the qubit inequality sweep.
+optimal probe of the two-parameter qutrit model (in closed form, the
+m = 0 eigenvector of J_n2; no search), and the qubit inequality sweep.
 
-Every study consumes a single seeded random stream so results are
+Every sampled study consumes a single seeded random stream so results are
 reproducible bit for bit; the CSV writers print floats with 17 significant
 digits and embed the effective configuration as leading comment lines.
 Row computations are independent; setting the environment variable
@@ -15,12 +16,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .bounds import c_holevo_qubit_pure, c_sld, c_t as c_t_bound, quantumness_R
 from .errors import Infeasible, NoConvergence, SingularQfim
 from .holevo import holevo_bound
-from .linalg import determinant
+from .linalg import _qfim_factor
 from .models import (
     density_and_derivatives,
     eval_qubit2,
@@ -264,15 +264,14 @@ def qubit_rows_to_csv(rows):
 
 @dataclass(frozen=True)
 class ProbeOptResult:
-    """Best probe found, with residuals re-derivable from the model itself."""
+    """Optimal probe, with residuals re-derivable from the model itself."""
 
     probe: np.ndarray
     residual_u: float
     qfim_deviation: float
 
 
-def _probe_residuals(b, theta, t, probe):
-    ev = eval_qutrit2(b, theta, t, probe)
+def _probe_residuals(b, t, ev):
     target = np.diag([4.0 * t**2, 16.0 * np.sin(b * t / 2.0) ** 2])
     return (
         float(np.linalg.norm(ev.u)),
@@ -280,80 +279,27 @@ def _probe_residuals(b, theta, t, probe):
     )
 
 
-def _chart_frame(rng=None, center=None):
-    """Unitary frame (psi0, v1, v2) for a 4-real-coordinate chart of state space."""
-    if center is not None:
-        a = np.column_stack([center, np.eye(3, dtype=complex)])
-        q, _ = np.linalg.qr(a)
-        q[:, 0] *= np.vdot(q[:, 0], center) / abs(np.vdot(q[:, 0], center))
-        return q[:, 0], q[:, 1], q[:, 2]
-    z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    q, r = np.linalg.qr(z)
-    q = q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
-    return q[:, 0], q[:, 1], q[:, 2]
+def optimize_qutrit_probe(b, theta, t, seed=None, restarts=None):
+    """The qutrit probe minimizing C_S with vanishing Uhlmann curvature.
 
+    For spin 1, <J_ntheta^2> + <J_n1^2> + <J_n2^2> = 2, so the m = 0
+    eigenvector of J_n2 has Var(J_ntheta) = Var(J_n1) = 1, <J> = 0 and zero
+    covariance: U = 0 and Q = Q* = diag(4 t^2, 16 sin^2(Bt/2)).  Since
+    Tr[Q^-1] >= sum_j 1/Q_jj >= sum_j 1/Q*_jj for every probe, this state
+    minimizes C_S with or without the U = 0 constraint.  In the J_z basis it
+    is (-(n_x - i n_y), sqrt(2) n_z, n_x + i n_y) / sqrt(2) with n = n_2.
 
-def optimize_qutrit_probe(b, theta, t, seed=0, restarts=32, penalty=1e3):
-    """Search for the qutrit probe minimizing C_S with vanishing Uhlmann curvature.
-
-    Multi-start Nelder-Mead over 4-real-coordinate charts of the pure-state
-    manifold, minimizing Tr[Q^-1] + penalty * ||U||_F.  The exploration
-    restarts run on a smoothed surrogate (penalty * ||U||_F^2) because the
-    kink of the exact penalty traps the simplex partway along the U = 0
-    manifold; the polish rounds in re-centered charts then minimize the
-    exact objective.  Convergence means ||U||_F <= 1e-6 and
-    ||Q - diag(4 t^2, 16 sin^2(Bt/2))||_F <= 1e-4; otherwise NoConvergence
-    is raised carrying the best result found.
+    Raises SingularQfim where Q* is singular under the package's pivot rule
+    (sin(Bt/2) = 0), and NoConvergence, carrying the result, when the
+    self-check ||U||_F <= 1e-6 and ||Q - Q*||_F <= 1e-4 fails.  ``seed`` and
+    ``restarts`` are accepted for compatibility and ignored.
     """
-    rng = np.random.default_rng(seed)
-
-    def objective_for(frame, smooth):
-        psi0, v1, v2 = frame
-
-        def objective(x):
-            psi = psi0 + (x[0] + 1j * x[1]) * v1 + (x[2] + 1j * x[3]) * v2
-            psi = psi / np.linalg.norm(psi)
-            ev = eval_qutrit2(b, theta, t, psi)
-            det_q = determinant(ev.q)
-            if det_q <= 1e-12:
-                return 1e12
-            value = float(np.trace(np.linalg.inv(ev.q)))
-            u_norm = float(np.linalg.norm(ev.u))
-            return value + penalty * (u_norm**2 if smooth else u_norm)
-
-        return objective
-
-    def to_state(frame, x):
-        psi0, v1, v2 = frame
-        psi = psi0 + (x[0] + 1j * x[1]) * v1 + (x[2] + 1j * x[3]) * v2
-        return psi / np.linalg.norm(psi)
-
-    best_value, best_state = np.inf, None
-    for _ in range(restarts):
-        frame = _chart_frame(rng=rng)
-        res = minimize(
-            objective_for(frame, smooth=True),
-            np.zeros(4),
-            method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-13, "maxiter": 2500, "maxfev": 5000},
-        )
-        if res.fun < best_value:
-            best_value, best_state = res.fun, to_state(frame, res.x)
-    if best_state is None:
-        raise NoConvergence("all restarts failed to produce a finite objective")
-    for _ in range(3):
-        frame = _chart_frame(center=best_state)
-        res = minimize(
-            objective_for(frame, smooth=False),
-            np.zeros(4),
-            method="Nelder-Mead",
-            options={"xatol": 1e-12, "fatol": 1e-15, "maxiter": 4000, "maxfev": 8000},
-        )
-        best_state = to_state(frame, res.x)
-    residual_u, qfim_dev = _probe_residuals(b, theta, t, best_state)
-    result = ProbeOptResult(
-        probe=best_state, residual_u=residual_u, qfim_deviation=qfim_dev
-    )
+    nx, ny, nz = geometry_vectors(b, theta, t)[2]
+    probe = np.array([-(nx - 1j * ny), np.sqrt(2.0) * nz, nx + 1j * ny]) / np.sqrt(2.0)
+    ev = eval_qutrit2(b, theta, t, probe)
+    _qfim_factor(ev.q)  # raises SingularQfim at degenerate angles
+    residual_u, qfim_dev = _probe_residuals(b, t, ev)
+    result = ProbeOptResult(probe=probe, residual_u=residual_u, qfim_deviation=qfim_dev)
     if residual_u > PROBE_RESIDUAL_U_TOL or qfim_dev > PROBE_QFIM_TOL:
         raise NoConvergence(
             f"residuals ||U||={residual_u:.2e}, ||Q-Q*||={qfim_dev:.2e} "

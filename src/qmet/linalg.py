@@ -37,13 +37,15 @@ def _require_square(m, name="matrix"):
 
 
 def _checked_symmetric(m, name="matrix") -> np.ndarray:
-    """``m`` as a symmetrized float array, after checking it is a non-empty symmetric matrix."""
+    """``m`` as a symmetrized float array, after checking it is non-empty, finite and symmetric."""
     m = np.asarray(m, dtype=float)
     _require_square(m, name)
     if m.size == 0:
         raise ValueError(f"{name} is empty")
-    scale = 1.0 + float(np.abs(m).max())
-    if np.abs(m - m.T).max() > 1e-8 * scale:
+    peak = float(np.abs(m).max())  # NaN if any entry is NaN, inf if any is infinite
+    if not np.isfinite(peak):
+        raise ValueError(f"{name} has non-finite entries")
+    if np.abs(m - m.T).max() > 1e-8 * (1.0 + peak):
         raise ValueError(f"{name} is not symmetric")
     return symmetrize(m)
 
@@ -114,20 +116,6 @@ def spd_inverse(m) -> np.ndarray:
     return symmetrize(linv.T @ linv)
 
 
-def trailing_submatrix(m, j) -> np.ndarray:
-    """Lower-right block of ``m`` obtained by dropping the first ``j - 1`` rows/columns.
-
-    ``j`` is 1-based: ``trailing_submatrix(m, 1)`` is ``m`` itself and
-    ``trailing_submatrix(m, n)`` is the single bottom-right entry.
-    """
-    m = np.asarray(m, dtype=float)
-    _require_square(m)
-    n = m.shape[0]
-    if not 1 <= j <= n:
-        raise IndexError(f"j={j} out of range for dimension {n}")
-    return m[j - 1:, j - 1:].copy()
-
-
 def determinant(m) -> float:
     """Determinant of a symmetric matrix.
 
@@ -140,23 +128,6 @@ def determinant(m) -> float:
         return pivot_determinant(_cholesky(a))
     except NotPositiveDefinite:
         return float(np.linalg.det(a))
-
-
-def is_hermitian(m, rtol=1e-10) -> bool:
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        return False
-    scale = 1.0 + float(np.max(np.abs(m)))
-    return bool(np.max(np.abs(m - m.conj().T)) <= rtol * scale)
-
-
-def spectral_norm(m) -> float:
-    """Largest absolute eigenvalue for Hermitian input, else the largest singular value."""
-    m = np.asarray(m)
-    _require_square(m)
-    if is_hermitian(m):
-        return float(np.max(np.abs(np.linalg.eigvalsh(m))))
-    return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
 def nuclear_norm(m) -> float:

@@ -330,7 +330,7 @@ def _raises(call, exc=SingularQfim):
 
 
 def _rule_inputs():
-    """Negative-definite, indefinite, tiny-scale, near-singular and non-finite QFIMs."""
+    """Negative-definite, indefinite, tiny-scale and near-singular QFIMs."""
     qs = [
         -np.eye(2),
         -np.eye(3),
@@ -343,6 +343,12 @@ def _rule_inputs():
     qs += [c * np.eye(n) for n in (2, 3) for c in np.logspace(-13.0, 3.0, 17)]
     for eps in (0.0, 1e-15, 1e-13, 1e-12, 2e-12, 3e-12, 1e-11, 1e-9, 1e-6):
         qs.append(np.array([[1.0, 1.0, 0.0], [1.0, 1.0 + eps, 0.0], [0.0, 0.0, 2.0]]))
+    return qs
+
+
+def _non_finite_inputs():
+    """QFIMs with one NaN or infinite entry on the diagonal or below it."""
+    qs = []
     for n in (2, 3):
         for bad in (np.nan, np.inf, -np.inf):
             for at in ((0, 0), (n - 1, 0), (n - 1, n - 1)):
@@ -376,6 +382,23 @@ class TestSingularityRule:
             assert len(set(verdicts.values())) == 1, (q, verdicts)
             if n == 2 and verdicts["cholesky"]:
                 assert not is_pure_qubit_pair(q, u), q
+
+    def test_non_finite_rejected(self):
+        for q in _non_finite_inputs():
+            n = q.shape[0]
+            u = U_TWO if n == 2 else U_THREE
+            calls = [
+                cholesky, sloppiness, brackets, c_sld, csep_cholesky,
+                lambda q: quantumness_R(q, u),
+                lambda q: csep_ordered(q, tuple(range(n, 0, -1))),
+            ]
+            if n == 2:
+                calls += [lambda q: r2_closed(q, u), lambda q: is_pure_qubit_pair(q, u)]
+            else:
+                calls += [lambda q: r3_closed(q, u), lambda q: t3_unnormalized_value(q, u)]
+            for call in calls:
+                with pytest.raises(ValueError, match="non-finite"):
+                    call(q)
 
     def test_non_spd_and_small_scale_cases(self):
         assert sloppiness(-np.eye(2)) == np.inf

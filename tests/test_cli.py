@@ -66,6 +66,12 @@ class TestMatrixCommands:
         assert rc == 2
         assert "'q'" in err
 
+    def test_non_finite_matrix_exits_2(self, capsys):
+        for q in ("1,nan;nan,1", "1,0;inf,1"):
+            rc, _, err = run(capsys, "bounds", "--model", "matrix", "--q", q)
+            assert rc == 2
+            assert "non-finite" in err
+
     def test_asymmetric_matrix_exits_2(self, capsys):
         rc, _, err = run(capsys, "csep", "--model", "matrix", "--q", "1,2;3,4")
         assert rc == 2
@@ -285,7 +291,7 @@ class TestSweepCommands:
     def test_probe_opt(self, capsys):
         rc, out, _ = run(
             capsys, "probe-opt", "--B", "3.141592653589793", "--theta",
-            "0.7853981633974483", "--t", "1", "--seed", "3", "--restarts", "6",
+            "0.7853981633974483", "--t", "1",
         )
         assert rc == 0
         doc = json.loads(out)["result"]
@@ -296,10 +302,10 @@ class TestSweepCommands:
     def test_probe_opt_degenerate_exits_1(self, capsys):
         rc, _, err = run(
             capsys, "probe-opt", "--B", "6.283185307179586", "--theta", "0.7",
-            "--t", "1", "--restarts", "2",
+            "--t", "1",
         )
         assert rc == 1
-        assert err.startswith("NoConvergence")
+        assert err.startswith("SingularQfim")
 
 
 class TestArgumentErrors:

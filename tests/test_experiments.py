@@ -1,8 +1,17 @@
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import qmet.experiments as experiments
 from qmet.bounds import c_sld
-from qmet.errors import NoConvergence
+from qmet.errors import NoConvergence, SingularQfim
 from qmet.experiments import (
     SCATTER_HEADER,
     draw_parameter_sets,
@@ -17,7 +26,7 @@ from qmet.experiments import (
     write_csv,
     QUBIT_SWEEP_HEADER,
 )
-from qmet.models import eval_qutrit2, eval_qutrit3, geometry_vectors
+from qmet.models import eval_qutrit2, eval_qutrit3, geometry_vectors, spin_one_operators
 from qmet.stepwise import best_order_dp
 
 
@@ -160,6 +169,53 @@ class TestProbeOptimization:
         )
 
     def test_degenerate_angle_fails(self):
-        # B t = 2 pi freezes the theta row of the QFIM; no probe can converge
-        with pytest.raises(NoConvergence):
+        # B t = 2 pi freezes the theta row of the QFIM, which the pivot rule finds singular
+        with pytest.raises(SingularQfim):
             optimize_qutrit_probe(2.0 * np.pi, 0.7, 1.0, seed=1, restarts=2)
+
+    def test_failed_self_check_raises(self, monkeypatch):
+        evaluate = experiments.eval_qutrit2
+
+        def curved(*args):
+            ev = evaluate(*args)
+            return replace(ev, u=ev.u + np.array([[0.0, 1e-3], [-1e-3, 0.0]]))
+
+        monkeypatch.setattr(experiments, "eval_qutrit2", curved)
+        with pytest.raises(NoConvergence) as info:
+            optimize_qutrit_probe(1.3, 0.4, 0.9)
+        assert info.value.result.residual_u == pytest.approx(np.sqrt(2.0) * 1e-3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(0.05, 6.0),
+        st.floats(-np.pi, np.pi),
+        st.floats(0.05, 3.0),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_closed_form_is_optimal(self, b, theta, t, seed):
+        s = np.sin(b * t / 2.0)
+        assume(abs(s) >= 1e-2)
+        res = optimize_qutrit_probe(b, theta, t)
+        ev = eval_qutrit2(b, theta, t, res.probe)
+        target = np.diag([4.0 * t**2, 16.0 * s**2])
+        assert np.linalg.norm(ev.u) <= 1e-12
+        assert np.linalg.norm(ev.q - target) <= 1e-12 * np.linalg.norm(target)
+        # <J_n2^2> = 0 makes the probe the m = 0 eigenvector of J_n2
+        j_2 = np.tensordot(geometry_vectors(b, theta, t)[2], np.stack(spin_one_operators()), axes=1)
+        assert abs(np.vdot(res.probe, j_2 @ j_2 @ res.probe)) <= 1e-12
+        best = c_sld(ev.q)
+        rng = np.random.default_rng(seed)
+        for _ in range(10):
+            other = eval_qutrit2(b, theta, t, haar_pure_state(3, rng))
+            assert c_sld(other.q) >= best * (1.0 - 1e-12)
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    code = "import sys, qmet.cli; print('scipy.optimize' in sys.modules)"
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
