@@ -59,9 +59,11 @@ from .experiments import (
 )
 from .holevo import HolevoSolution, UnbiasedFamily, holevo_bound, verify_sandwich, z_matrix
 from .linalg import (
+    Qfim,
     cholesky,
     determinant,
     nuclear_norm,
+    qfim,
     spd_inverse,
     symmetrize,
 )
@@ -108,6 +110,7 @@ __all__ = [
     "NotPositiveDefinite",
     "ProbeOptResult",
     "PureStateModel",
+    "Qfim",
     "QmetError",
     "ScatterRow",
     "SingularQfim",
@@ -140,6 +143,7 @@ __all__ = [
     "holevo_bound",
     "nuclear_norm",
     "optimize_qutrit_probe",
+    "qfim",
     "quantumness_R",
     "quantumness_T",
     "qubit2_model",

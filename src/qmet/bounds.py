@@ -16,15 +16,19 @@ The threshold predicates compare the stepwise bound estimated first-to-
 second against C_S, C_T or C_R through an equivalent condition on the
 sloppiness s = 1/det Q; each verdict carries both the algebraic test and
 the direct numerical comparison so disagreements are visible.
+
+Every function here that takes a QFIM starts from :func:`linalg.qfim`
+(``t2_closed``, which needs no factor, from :func:`linalg.qfim_matrix`), so
+a :class:`linalg.Qfim` passed in is validated and factored only once, by
+whoever built it, and gives the same results as the matrix it came from.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
-from .errors import NotApplicable, NotPositiveDefinite, SingularQfim
-from .linalg import _qfim_factor, nuclear_norm, pivot_determinant, pivot_product, spd_inverse
+from .errors import NotApplicable, SingularQfim
+from .linalg import nuclear_norm, pivot_determinant, pivot_product, qfim, qfim_matrix
 from .stepwise import csep_ordered
 
 COMPARE_RTOL = 1e-9
@@ -86,10 +90,12 @@ def weight_matrix(w, n):
     if w is None:
         return np.eye(n)
     w = np.asarray(w, dtype=float)
+    if not np.isfinite(w).all():
+        raise ValueError("weights must be finite")
     if w.ndim == 1:
         if w.shape != (n,):
             raise ValueError(f"expected {n} diagonal weights, got {w.shape}")
-        if np.any(w <= 0):
+        if not (w > 0).all():
             raise ValueError("weights must be positive")
         return np.diag(w)
     if w.shape != (n, n):
@@ -99,17 +105,10 @@ def weight_matrix(w, n):
     return 0.5 * (w + w.T)
 
 
-def _qinv(q):
-    try:
-        return spd_inverse(q)
-    except NotPositiveDefinite as exc:
-        raise SingularQfim(str(exc)) from exc
-
-
 def c_sld(q, w=None):
     """SLD quantum Cramer-Rao bound Tr[W Q^-1]."""
-    q = np.asarray(q, dtype=float)
-    return float(np.trace(weight_matrix(w, q.shape[0]) @ _qinv(q)))
+    qf = qfim(q)
+    return float(np.trace(weight_matrix(w, qf.n) @ qf.inverse))
 
 
 def quantumness_R(q, u):
@@ -118,34 +117,38 @@ def quantumness_R(q, u):
     Computed as the spectral norm of L^-1 (iU) L^-T with Q = L L^T, which is
     similar to i Q^-1 U but Hermitian.
     """
-    linv = lapack.dtrtri(_qfim_factor(q), lower=1)[0]
+    linv = qfim(q).linv
     u = np.asarray(u, dtype=float)
     k = linv @ (1j * u) @ linv.T
     return float(np.max(np.abs(np.linalg.eigvalsh(k))))
 
 
-def quantumness_T(q, u, w=None):
-    """T(W) = ||sqrt(W) Q^-1 U Q^-1 sqrt(W)||_1 / Tr[W Q^-1]."""
-    q = np.asarray(q, dtype=float)
-    u = np.asarray(u, dtype=float)
-    wm = weight_matrix(w, q.shape[0])
-    qinv = _qinv(q)
+def _t_and_c_s(qf, u, wm):
+    """T(W) and C_S = Tr[W Q^-1] of a Qfim, from its one inverse and one weight matrix."""
+    qinv = qf.inverse
     evals, evecs = np.linalg.eigh(wm)
     sqrt_w = evecs @ np.diag(np.sqrt(evals)) @ evecs.T
-    inner = sqrt_w @ qinv @ u @ qinv @ sqrt_w
-    return nuclear_norm(inner) / float(np.trace(wm @ qinv))
+    inner = sqrt_w @ qinv @ np.asarray(u, dtype=float) @ qinv @ sqrt_w
+    c_s = float(np.trace(wm @ qinv))
+    return nuclear_norm(inner) / c_s, c_s
+
+
+def quantumness_T(q, u, w=None):
+    """T(W) = ||sqrt(W) Q^-1 U Q^-1 sqrt(W)||_1 / Tr[W Q^-1]."""
+    qf = qfim(q)
+    return _t_and_c_s(qf, u, weight_matrix(w, qf.n))[0]
 
 
 def r2_closed(q, u):
     """Two-parameter closed form sqrt(det U / det Q) = |U_12| / sqrt(det Q)."""
-    root_det_q = pivot_product(_qfim_factor(q))
+    root_det_q = pivot_product(qfim(q).L)
     u = np.asarray(u, dtype=float)
     return float(abs(u[0, 1]) / root_det_q)
 
 
 def t2_closed(q, u, omega=1.0):
     """Two-parameter closed form 2 sqrt(omega det U) / (Q22 + omega Q11)."""
-    q = np.asarray(q, dtype=float)
+    q = qfim_matrix(q)  # needs no factor
     u = np.asarray(u, dtype=float)
     det_u = u[0, 1] ** 2
     return float(2.0 * np.sqrt(omega * det_u) / (q[1, 1] + omega * q[0, 0]))
@@ -159,9 +162,9 @@ def axial_vector(u):
 
 def r3_closed(q, u):
     """Three-parameter closed form sqrt(u^T Q u / det Q)."""
-    root_det_q = pivot_product(_qfim_factor(q))
+    qf = qfim(q)
     v = axial_vector(u)
-    return float(np.sqrt(v @ np.asarray(q, dtype=float) @ v) / root_det_q)
+    return float(np.sqrt(v @ qf.q @ v) / pivot_product(qf.L))
 
 
 def t3_unnormalized_value(q, u, w=None):
@@ -173,38 +176,44 @@ def t3_unnormalized_value(q, u, w=None):
     T <= R (take Q = W = I with |u| = 1), so it is reported as a separate
     diagnostic value and never used as T.
     """
-    q = np.asarray(q, dtype=float)
+    qf = qfim(q)
     wm = weight_matrix(w, 3)
     wd = np.diag(wm)
     if not np.allclose(wm, np.diag(wd)):
         raise ValueError("the printed three-parameter form needs a diagonal weight")
     w_tilde = np.diag([wd[1] * wd[2], wd[0] * wd[2], wd[0] * wd[1]])
-    root_det_q = pivot_product(_qfim_factor(q))
+    root_det_q = pivot_product(qf.L)
     v = axial_vector(u)
-    return float(2.0 * np.sqrt(v @ q @ w_tilde @ q @ v) / root_det_q / root_det_q)
+    return float(2.0 * np.sqrt(v @ qf.q @ w_tilde @ qf.q @ v) / root_det_q / root_det_q)
 
 
 def c_t(q, u, w=None):
     """(1 + T(W)) C_S."""
-    return (1.0 + quantumness_T(q, u, w)) * c_sld(q, w)
+    qf = qfim(q)
+    t_val, c_s = _t_and_c_s(qf, u, weight_matrix(w, qf.n))
+    return (1.0 + t_val) * c_s
 
 
 def c_r(q, u, w=None):
     """(1 + R) C_S."""
-    return (1.0 + quantumness_R(q, u)) * c_sld(q, w)
+    qf = qfim(q)
+    return (1.0 + quantumness_R(qf, u)) * c_sld(qf, w)
 
 
 def is_pure_qubit_pair(q, u, rtol=PURE_QUBIT_RTOL):
-    """True when (Q, U) satisfies the pure-qubit identity det Q = U_12^2."""
-    q = np.asarray(q, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if q.shape != (2, 2):
-        return False
+    """True when (Q, U) satisfies the pure-qubit identity det Q = U_12^2.
+
+    False for a Q that is singular under the pivot rule or not 2 x 2.
+    """
     try:
-        det_q = pivot_determinant(_qfim_factor(q))
+        qf = qfim(q)
     except SingularQfim:
         return False
-    return abs(det_q - u[0, 1] ** 2) <= rtol * max(det_q, u[0, 1] ** 2)
+    if qf.n != 2:
+        return False
+    det_q = pivot_determinant(qf.L)
+    u12_sq = float(np.asarray(u, dtype=float)[0, 1]) ** 2
+    return abs(det_q - u12_sq) <= rtol * max(det_q, u12_sq)
 
 
 def c_holevo_qubit_pure(q, w=None, u=None):
@@ -214,14 +223,12 @@ def c_holevo_qubit_pure(q, w=None, u=None):
     When ``u`` is supplied the pure-qubit certificate det Q = U_12^2 is
     checked and NotApplicable raised on failure.
     """
-    q = np.asarray(q, dtype=float)
-    if q.shape != (2, 2):
+    qf = qfim(q)
+    if qf.n != 2:
         raise NotApplicable("closed form requires a two-parameter model")
-    if u is not None and not is_pure_qubit_pair(q, u):
+    if u is not None and not is_pure_qubit_pair(qf, u):
         raise NotApplicable("det Q = U_12^2 does not hold: not a pure qubit model")
-    wm = weight_matrix(w, 2)
-    qinv = _qinv(q)
-    wq = wm @ qinv
+    wq = weight_matrix(w, 2) @ qf.inverse
     det_wq = float(np.linalg.det(wq))
     if det_wq < 0:
         raise SingularQfim("det[W Q^-1] < 0")
@@ -231,7 +238,7 @@ def c_holevo_qubit_pure(q, w=None, u=None):
 def sloppiness(q):
     """s = 1 / det Q; +inf when Q is singular under the pivot rule or det Q underflows."""
     try:
-        det_q = pivot_determinant(_qfim_factor(q))
+        det_q = pivot_determinant(qfim(q).L)
     except SingularQfim:
         return np.inf
     return 1.0 / det_q if det_q > 0.0 else np.inf
@@ -245,24 +252,24 @@ def threshold_csep_vs(target, q, u):
     vanishing Q_12 (or by Q_12^2 + 2 Q_22 |U_12| = 0) become +inf, meaning
     the predicate can never hold.
     """
-    q = np.asarray(q, dtype=float)
+    qf = qfim(q)
     u = np.asarray(u, dtype=float)
-    if q.shape != (2, 2):
+    if qf.n != 2:
         raise ValueError("threshold conditions are defined for n = 2")
-    s = sloppiness(q)
+    s = sloppiness(qf)
     if not np.isfinite(s):
-        raise SingularQfim("QFIM is singular")
-    q11, q22, q12 = q[0, 0], q[1, 1], q[0, 1]
+        raise SingularQfim("det Q underflows to 0")
+    q11, q22, q12 = qf.q[0, 0], qf.q[1, 1], qf.q[0, 1]
     u12 = abs(u[0, 1])
     diagnostic = None
     if target == "c_s":
         threshold = 4.0 * q22**2 / q12**4 if q12 != 0.0 else np.inf
         diagnostic = (1.0 + np.sqrt(1.0 + q11 / q22)) ** 2 / q11**2
-        bound = c_sld(q)
+        bound = c_sld(qf)
     elif target == "c_t":
         denom = q12**2 + 2.0 * q22 * u12
         threshold = 4.0 * q22**2 / denom**2 if denom != 0.0 else np.inf
-        bound = c_t(q, u)
+        bound = c_t(qf, u)
     elif target == "c_r":
         a = u12 * (q12**2 + q22**2)
         b = q12**2
@@ -275,11 +282,11 @@ def threshold_csep_vs(target, q, u):
         else:
             delta = b**2 - 4.0 * a * c
             threshold = ((np.sqrt(delta) - b) / (2.0 * a)) ** 2
-        bound = c_r(q, u)
+        bound = c_r(qf, u)
     else:
         raise ValueError(f"unknown target {target!r}")
     predicate = bool(s >= threshold * (1.0 - COMPARE_RTOL))
-    csep12 = csep_ordered(q, (1, 2)).value
+    csep12 = csep_ordered(qf, (1, 2)).value
     direct = bool(csep12 <= bound * (1.0 + COMPARE_RTOL))
     return ThresholdVerdict(
         predicate_holds=predicate,
@@ -296,25 +303,24 @@ def compute_report(q, u, w=None):
     certificate holds; the printed three-parameter T form is attached for
     n = 3 with diagonal weights.
     """
-    q = np.asarray(q, dtype=float)
+    qf = qfim(q)
     u = np.asarray(u, dtype=float)
-    n = q.shape[0]
+    n = qf.n
     wm = weight_matrix(w, n)
-    c_s = c_sld(q, wm)
-    r_val = quantumness_R(q, u)
-    t_val = quantumness_T(q, u, wm)
+    t_val, c_s = _t_and_c_s(qf, u, wm)
+    r_val = quantumness_R(qf, u)
     c_h = None
-    if n == 2 and is_pure_qubit_pair(q, u):
-        c_h = c_holevo_qubit_pure(q, wm, u)
+    if n == 2 and is_pure_qubit_pair(qf, u):
+        c_h = c_holevo_qubit_pure(qf, wm, u)
     t3 = None
     if n == 3 and np.allclose(wm, np.diag(np.diag(wm))):
-        t3 = t3_unnormalized_value(q, u, wm)
+        t3 = t3_unnormalized_value(qf, u, wm)
     return BoundReport(
         c_s=c_s,
         c_t=(1.0 + t_val) * c_s,
         c_r=(1.0 + r_val) * c_s,
         c_h_closed=c_h,
-        sloppiness=float(sloppiness(q)),
+        sloppiness=float(sloppiness(qf)),
         quantumness_r=r_val,
         quantumness_t=t_val,
         weight=wm,

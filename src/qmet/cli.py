@@ -98,6 +98,12 @@ def _convert(key, value):
     return value
 
 
+def _require_finite(values, name):
+    if not np.isfinite(values).all():
+        raise ValidationError(f"field '{name}' has non-finite entries")
+    return values
+
+
 def parse_matrix(text, name):
     try:
         rows = [
@@ -108,7 +114,7 @@ def parse_matrix(text, name):
         raise ValidationError(f"field '{name}' is not a valid matrix: {text!r}") from exc
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"field '{name}' must be square, got shape {m.shape}")
-    return m
+    return _require_finite(m, name)
 
 
 def parse_vector(text, name, count=None):
@@ -118,7 +124,7 @@ def parse_vector(text, name, count=None):
         raise ValidationError(f"field '{name}' is not a valid vector: {text!r}") from exc
     if count is not None and v.size != count:
         raise ValidationError(f"field '{name}' must have {count} entries, got {v.size}")
-    return v
+    return _require_finite(v, name)
 
 
 def parse_probe(cfg):

@@ -20,7 +20,7 @@ import numpy as np
 from .bounds import c_holevo_qubit_pure, c_sld, c_t as c_t_bound, quantumness_R
 from .errors import Infeasible, NoConvergence, SingularQfim
 from .holevo import holevo_bound
-from .linalg import _qfim_factor
+from .linalg import qfim
 from .models import (
     density_and_derivatives,
     eval_qubit2,
@@ -211,17 +211,18 @@ def qubit_sweep_row(alpha, beta, b, t):
     gamma = np.sqrt(max(0.0, 1.0 - alpha**2 - beta**2))
     r0 = alpha * n_theta + beta * n_1 + gamma * n_2
     ev = eval_qubit2(b, 0.0, t, r0)
+    q = qfim(ev.q)  # validated and factored once for all six bounds
     return {
         "alpha": alpha,
         "beta": beta,
         "B": b,
         "t": t,
-        "c_s": c_sld(ev.q),
-        "c_t": c_t_bound(ev.q, ev.u),
-        "c_h": c_holevo_qubit_pure(ev.q, u=ev.u),
-        "c_sep_12": csep_ordered(ev.q, (1, 2)).value,
-        "c_sep_21": csep_ordered(ev.q, (2, 1)).value,
-        "R": quantumness_R(ev.q, ev.u),
+        "c_s": c_sld(q),
+        "c_t": c_t_bound(q, ev.u),
+        "c_h": c_holevo_qubit_pure(q, u=ev.u),
+        "c_sep_12": csep_ordered(q, (1, 2)).value,
+        "c_sep_21": csep_ordered(q, (2, 1)).value,
+        "R": quantumness_R(q, ev.u),
     }
 
 
@@ -297,7 +298,7 @@ def optimize_qutrit_probe(b, theta, t, seed=None, restarts=None):
     nx, ny, nz = geometry_vectors(b, theta, t)[2]
     probe = np.array([-(nx - 1j * ny), np.sqrt(2.0) * nz, nx + 1j * ny]) / np.sqrt(2.0)
     ev = eval_qutrit2(b, theta, t, probe)
-    _qfim_factor(ev.q)  # raises SingularQfim at degenerate angles
+    qfim(ev.q)  # raises SingularQfim at degenerate angles
     residual_u, qfim_dev = _probe_residuals(b, t, ev)
     result = ProbeOptResult(probe=probe, residual_u=residual_u, qfim_deviation=qfim_dev)
     if residual_u > PROBE_RESIDUAL_U_TOL or qfim_dev > PROBE_QFIM_TOL:

@@ -32,8 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import c_sld, quantumness_T, weight_matrix
+from .bounds import c_sld, c_t, weight_matrix
 from .errors import Infeasible
+from .linalg import qfim
 from .models import hermitian_operator_basis
 
 SDP_TOL = 1e-6
@@ -273,7 +274,8 @@ def z_matrix(rho, operators):
 
 def verify_sandwich(solution, q, u, w=None, tol=1e-6):
     """Check C_S - tol <= value <= (1 + T(W)) C_S + tol for a converged solve."""
+    q = qfim(q)
     low = c_sld(q, w)
-    high = (1.0 + quantumness_T(q, u, w)) * low
+    high = c_t(q, u, w)
     slack = tol * (1.0 + abs(high))
     return bool(low - slack <= solution.value <= high + slack)

@@ -5,7 +5,15 @@ n <= 20.  Every decision on whether a QFIM is singular goes through one
 LAPACK Cholesky factorization (:func:`_cholesky`) and one rule: a
 matrix is singular when a squared pivot diag(L)^2 is non-finite or at or
 below :func:`pivot_tol`.
+
+A QFIM is validated and factored once, by :func:`qfim`, into a read-only
+:class:`Qfim` that carries Q, its factor L and L^-1.  Every function of
+the package that takes a QFIM accepts either a matrix or a ``Qfim``.
 """
+
+import math
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import lapack
@@ -43,7 +51,7 @@ def _checked_symmetric(m, name="matrix") -> np.ndarray:
     if m.size == 0:
         raise ValueError(f"{name} is empty")
     peak = float(np.abs(m).max())  # NaN if any entry is NaN, inf if any is infinite
-    if not np.isfinite(peak):
+    if not math.isfinite(peak):
         raise ValueError(f"{name} has non-finite entries")
     if np.abs(m - m.T).max() > 1e-8 * (1.0 + peak):
         raise ValueError(f"{name} is not symmetric")
@@ -58,17 +66,12 @@ def _cholesky(a) -> np.ndarray:
     :func:`pivot_tol`, or at which LAPACK stops.
     """
     tol = pivot_tol(a)
-    try:
-        L = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        # numpy does not say where LAPACK stopped; dpotrf's info does.  The
-        # pivots before that index are complete and the one at it failed.
-        c, info = lapack.dpotrf(a, lower=1)
-        ok = np.append(np.diag(c)[:info - 1] ** 2 > tol, False)
-    else:
-        ok = np.diag(L) ** 2 > tol  # NaN compares False
-    if not ok.all():
-        j = int(np.flatnonzero(~ok)[0])
+    L, info = lapack.dpotrf(a, lower=1)
+    # LAPACK stops at the 1-based pivot ``info`` (0: it did not stop); the
+    # pivots before that one are complete
+    ok = (L.diagonal()[:info - 1] if info else L.diagonal()) ** 2 > tol  # NaN compares False
+    if info or not ok.all():
+        j = info - 1 if ok.all() else int(np.argmin(ok))  # the first False
         raise NotPositiveDefinite(
             f"squared pivot at index {j} is non-finite or at or below tolerance {tol:.3e}"
         )
@@ -85,12 +88,62 @@ def cholesky(m) -> np.ndarray:
     return _cholesky(_checked_symmetric(m))
 
 
-def _qfim_factor(q) -> np.ndarray:
-    """:func:`cholesky` of a QFIM, raising SingularQfim where it raises NotPositiveDefinite."""
+def _read_only(a) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _inverse(linv) -> np.ndarray:
+    """``(L L^T)^-1`` from ``L^-1``, as symmetrize(L^-T L^-1)."""
+    return symmetrize(linv.T @ linv)
+
+
+@dataclass(frozen=True, eq=False)
+class Qfim:
+    """A validated, nonsingular QFIM with its Cholesky factor, built by :func:`qfim`.
+
+    ``q`` is the symmetrized matrix, ``L`` its lower factor under the pivot
+    rule and ``linv`` = L^-1; all three are read-only.
+    """
+
+    q: np.ndarray
+    L: np.ndarray
+    linv: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.q.shape[0]
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        """Q^-1 by the formula of :func:`spd_inverse`, read-only."""
+        return _read_only(_inverse(self.linv))
+
+
+def qfim(m) -> Qfim:
+    """Validate, factor and invert the factor of a QFIM once; a Qfim is returned as is.
+
+    Raises ValueError for empty, non-square, non-finite or asymmetric input
+    and SingularQfim where :func:`cholesky` raises NotPositiveDefinite.
+    """
+    if isinstance(m, Qfim):
+        return m
+    q = _checked_symmetric(m, "QFIM")
     try:
-        return cholesky(q)
+        L = _cholesky(q)
     except NotPositiveDefinite as exc:
         raise SingularQfim(str(exc)) from exc
+    linv = lapack.dtrtri(L, lower=1)[0]
+    return Qfim(q=_read_only(q), L=_read_only(L), linv=_read_only(linv))
+
+
+def qfim_matrix(m) -> np.ndarray:
+    """The validated, symmetrized QFIM array, taken from a Qfim without refactoring.
+
+    For routines such as the order searches that never need the factor of
+    the natural order.
+    """
+    return m.q if isinstance(m, Qfim) else _checked_symmetric(m, "QFIM")
 
 
 def pivot_product(L) -> float:
@@ -112,8 +165,7 @@ def spd_inverse(m) -> np.ndarray:
 
     Raises NotPositiveDefinite for non-SPD input.
     """
-    linv = lapack.dtrtri(cholesky(m), lower=1)[0]
-    return symmetrize(linv.T @ linv)
+    return _inverse(lapack.dtrtri(cholesky(m), lower=1)[0])
 
 
 def determinant(m) -> float:

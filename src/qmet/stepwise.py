@@ -18,22 +18,19 @@ enumeration, and a Bellman-Held-Karp bitmask recursion whose additive
 cost is the inverse Cholesky pivot 1/sqrt(q_jj - q_jI Q_II^-1 q_jI)
 of appending parameter j to an already-arranged subset I.  Squaring the
 optimal accumulated cost recovers the bound.
+
+The order routines read only the validated matrix of a QFIM (the ``q`` of
+a :class:`linalg.Qfim`), never its natural-order factor; ``csep_cholesky``
+and ``brackets`` read the factor.
 """
 
 from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import NotPositiveDefinite, SingularQfim, TooManyParameters
-from .linalg import (
-    _checked_symmetric,
-    _cholesky,
-    _qfim_factor,
-    pivot_determinant,
-    pivot_tol,
-)
+from .linalg import _cholesky, pivot_determinant, pivot_tol, qfim, qfim_matrix
 
 BRUTE_FORCE_MAX = 8
 DP_MAX = 20
@@ -84,7 +81,7 @@ class DpTables:
 
 
 def _validate_ordering(order, n):
-    order = tuple(int(o) for o in order)
+    order = tuple(map(int, order))
     if sorted(order) != list(range(1, n + 1)):
         raise ValueError(f"ordering {order} is not a permutation of 1..{n}")
     return order
@@ -100,13 +97,13 @@ def _weight_diag(w, n):
         w = np.diag(w)
     if w.shape != (n,):
         raise ValueError(f"expected {n} weights, got shape {w.shape}")
-    if np.any(w <= 0):
-        raise ValueError("weights must be positive")
+    if not ((w > 0) & (w < np.inf)).all():  # NaN compares False
+        raise ValueError("weights must be positive and finite")
     return w
 
 
-def _step_terms(qp):
-    """A_j for the already-permuted matrix, or None when the ordering is singular.
+def _step_terms(q, idx):
+    """A_j of the 0-based ordering ``idx``, or None when the ordering is singular.
 
     One Cholesky factorization of the reverse-permuted matrix gives every
     trailing block at once: its k-th squared pivot is
@@ -114,8 +111,9 @@ def _step_terms(qp):
     The ordering is singular under the pivot rule of ``linalg._cholesky``,
     whose tolerance :func:`pivot_tol` the ordering search shares.
     """
+    rev = idx[::-1]
     try:
-        piv = np.diag(_cholesky(qp[::-1, ::-1])) ** 2
+        piv = _cholesky(q[rev[:, None], rev]).diagonal() ** 2
     except NotPositiveDefinite:
         return None
     return 1.0 / piv[::-1]
@@ -129,16 +127,15 @@ def csep_ordered(q, order=None, w=None):
     weights (diagonal weight matrix); the weight of the parameter estimated
     at step j multiplies that step's variance term.
     """
-    q = _checked_symmetric(q, "QFIM")
+    q = qfim_matrix(q)
     n = q.shape[0]
     order = _validate_ordering(order if order is not None else range(1, n + 1), n)
-    wd = _weight_diag(w, n)
-    idx = [o - 1 for o in order]
-    a = _step_terms(q[np.ix_(idx, idx)])
+    idx = np.array(order) - 1
+    wd = None if w is None else _weight_diag(w, n)[idx]
+    a = _step_terms(q, idx)
     if a is None:
         raise SingularQfim("a Cholesky pivot of the permuted QFIM is at or below tolerance")
-    weighted = wd[list(idx)] * a
-    roots = np.sqrt(weighted)
+    roots = np.sqrt(a if wd is None else wd * a)  # a unit weight multiplies exactly
     total = roots.sum()
     return StepwiseResult(
         value=float(total**2),
@@ -150,7 +147,7 @@ def csep_ordered(q, order=None, w=None):
 
 def csep_cholesky(q):
     """Stepwise bound of the reversed order (n, ..., 1) as (Tr L^-1)^2, Q = L L^T."""
-    return float(np.sum(1.0 / np.diag(_qfim_factor(q))) ** 2)
+    return float(np.sum(1.0 / np.diag(qfim(q).L)) ** 2)
 
 
 def brackets(q):
@@ -160,13 +157,12 @@ def brackets(q):
     of the identity.  One factorization Q = L L^T gives det Q as the
     product of squared pivots and Tr[Q^-1] = ||L^-1||_F^2.
     """
-    L = _qfim_factor(q)
-    n = L.shape[0]
-    linv = lapack.dtrtri(L, lower=1)[0]
+    qf = qfim(q)
+    n = qf.n
     return Brackets(
-        harmonic_lower=float(n**3 / np.trace(q)),
-        geometric_lower=float(n**2 * pivot_determinant(L) ** (-1.0 / n)),
-        upper=float(n * np.sum(linv**2)),
+        harmonic_lower=float(n**3 / np.trace(qf.q)),
+        geometric_lower=float(n**2 * pivot_determinant(qf.L) ** (-1.0 / n)),
+        upper=float(n * np.sum(qf.linv**2)),
     )
 
 
@@ -177,7 +173,7 @@ def best_order_bruteforce(q, w=None):
     a singular trailing block are skipped rather than raised, so the search
     survives matrices that are singular only along some directions.
     """
-    q = _checked_symmetric(q, "QFIM")
+    q = qfim_matrix(q)
     n = q.shape[0]
     if n > BRUTE_FORCE_MAX:
         raise TooManyParameters(
@@ -186,8 +182,8 @@ def best_order_bruteforce(q, w=None):
     wd = _weight_diag(w, n)
     best_order, best_value = None, np.inf
     for perm in permutations(range(1, n + 1)):
-        idx = [o - 1 for o in perm]
-        a = _step_terms(q[np.ix_(idx, idx)])
+        idx = np.array(perm) - 1
+        a = _step_terms(q, idx)
         value = np.inf if a is None else float(np.sum(np.sqrt(wd[idx] * a)) ** 2)
         if value < best_value:
             best_order, best_value = perm, value
@@ -212,7 +208,7 @@ def dp_tables(q, w=None):
     factorized.  A Schur complement at or below :func:`pivot_tol` makes the
     candidate infeasible, and ties keep the smallest j.
     """
-    q = _checked_symmetric(q, "QFIM")
+    q = qfim_matrix(q)
     n = q.shape[0]
     if n > DP_MAX:
         raise TooManyParameters(f"DP is guarded at n <= {DP_MAX}, got n = {n}")
@@ -262,10 +258,8 @@ def best_order_dp(q, w=None):
     table from the full set: each recorded choice is the parameter
     estimated first within its subset.
     """
-    q = np.asarray(q, dtype=float)
-    n = q.shape[0]
     tables = dp_tables(q, w)
-    full = (1 << n) - 1
+    full = tables.cost.size - 1
     if not np.isfinite(tables.cost[full]):
         raise SingularQfim("no ordering has positive Schur complements")
     order = []

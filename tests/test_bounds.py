@@ -1,5 +1,9 @@
+from dataclasses import fields, is_dataclass
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qmet.bounds import (
     axial_vector,
@@ -20,9 +24,16 @@ from qmet.bounds import (
     weight_matrix,
 )
 from qmet.errors import NotApplicable, NotPositiveDefinite, SingularQfim
-from qmet.linalg import cholesky
+from qmet.linalg import cholesky, qfim, symmetrize
 from qmet.models import eval_qubit2, eval_qutrit2, geometry_vectors
-from qmet.stepwise import brackets, csep_cholesky, csep_ordered
+from qmet.stepwise import (
+    best_order_bruteforce,
+    best_order_dp,
+    brackets,
+    csep_cholesky,
+    csep_ordered,
+    dp_tables,
+)
 
 from helpers import qubit_instance, rand_antisym, rand_spd
 
@@ -308,6 +319,22 @@ class TestReport:
         doc = compute_report(q, u).to_json()
         assert "t3_unnormalized" in doc
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        q = np.array([[2.0, 0.3], [0.3, 1.0]])
+        for w in (np.array([bad, 1.0]), np.diag([1.0, bad])):
+            calls = [
+                lambda: weight_matrix(w, 2),
+                lambda: c_sld(q, w),
+                lambda: c_t(q, U_ANCHOR, w),
+                lambda: csep_ordered(q, (2, 1), w),
+                lambda: best_order_dp(q, w),
+                lambda: best_order_bruteforce(q, w),
+            ]
+            for call in calls:
+                with pytest.raises(ValueError, match="weights must|diagonal"):
+                    call()
+
     def test_weight_matrix_validation(self):
         assert np.allclose(weight_matrix(None, 2), np.eye(2))
         assert np.allclose(weight_matrix([1.0, 2.0], 2), np.diag([1.0, 2.0]))
@@ -383,6 +410,10 @@ class TestSingularityRule:
             if n == 2 and verdicts["cholesky"]:
                 assert not is_pure_qubit_pair(q, u), q
 
+    def test_qfim_raises_exactly_when_cholesky_raises(self):
+        for q in _rule_inputs():
+            assert _raises(lambda: qfim(q)) == _raises(lambda: cholesky(q), NotPositiveDefinite), q
+
     def test_non_finite_rejected(self):
         for q in _non_finite_inputs():
             n = q.shape[0]
@@ -421,3 +452,88 @@ class TestSingularityRule:
         assert t3_unnormalized_value(q3, U_THREE) == pytest.approx(
             quantumness_T(q3, U_THREE) * c_sld(q3), rel=1e-12
         )
+
+
+def _same(a, b):
+    """``==`` on floats and bools, field by field on dataclasses, exact on arrays."""
+    if is_dataclass(a):
+        return type(a) is type(b) and all(
+            _same(getattr(a, f.name), getattr(b, f.name)) for f in fields(a)
+        )
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    return type(a) is type(b) and a == b
+
+
+def _spd_case(seed, n, decades):
+    """A QFIM with eigenvalues spread over ``decades``, a U, weights and an ordering."""
+    rng = np.random.default_rng(seed)
+    basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    q = symmetrize(basis @ np.diag(np.logspace(0.0, -decades, n)) @ basis.T)
+    order = tuple(int(j) + 1 for j in rng.permutation(n))
+    return q, rand_antisym(rng, n), rng.uniform(0.2, 3.0, n), order
+
+
+def _shared_calls(q, u, w, order):
+    """Every public function of a QFIM, as name -> call on a matrix or a Qfim."""
+    n = len(w)
+    calls = {
+        "c_sld": lambda m: c_sld(m, w),
+        "c_t": lambda m: c_t(m, u, w),
+        "c_r": lambda m: c_r(m, u, w),
+        "quantumness_R": lambda m: quantumness_R(m, u),
+        "quantumness_T": lambda m: quantumness_T(m, u, w),
+        "sloppiness": sloppiness,
+        "is_pure_qubit_pair": lambda m: is_pure_qubit_pair(m, u),
+        "compute_report": lambda m: compute_report(m, u, w),
+        "brackets": brackets,
+        "csep_cholesky": csep_cholesky,
+        "csep_ordered": lambda m: csep_ordered(m, order, w),
+        "csep_ordered_natural": csep_ordered,
+        "best_order_dp": lambda m: best_order_dp(m, w),
+        "best_order_bruteforce": lambda m: best_order_bruteforce(m, w),
+        "dp_tables": lambda m: dp_tables(m, w),
+    }
+    if n == 2:
+        calls["r2_closed"] = lambda m: r2_closed(m, u)
+        for target in ("c_s", "c_t", "c_r"):
+            calls[f"threshold_{target}"] = lambda m, target=target: threshold_csep_vs(target, m, u)
+    if n == 3:
+        calls["r3_closed"] = lambda m: r3_closed(m, u)
+        calls["t3_unnormalized_value"] = lambda m: t3_unnormalized_value(m, u, w)
+    return calls
+
+
+def _assert_shared(q, u, w, order):
+    qf = qfim(q)
+    for name, call in _shared_calls(q, u, w, order).items():
+        assert _same(call(qf), call(q)), name
+
+
+class TestSharedQfim:
+    """A Qfim gives ``==``-identical results to the matrix it was built from."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.builds(_spd_case, st.integers(0, 2**32 - 1), st.integers(2, 5), st.floats(0.0, 8.0)))
+    def test_spd(self, case):
+        _assert_shared(*case)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 2.0 * np.pi),
+        st.floats(0.3, 3.0),
+        st.floats(0.3, 3.0),
+        st.floats(0.2, 3.0),
+    )
+    def test_pure_qubit(self, radius, angle, b, t, w1):
+        alpha, beta = radius * np.cos(angle), radius * np.sin(angle)
+        assume(4.0 * t**2 * np.sin(b * t / 2.0) ** 2 * (1.0 - radius**2) >= 1e-3)
+        nt, n1, n2 = geometry_vectors(b, 0.0, t)
+        ev = eval_qubit2(b, 0.0, t, alpha * nt + beta * n1 + np.sqrt(1.0 - radius**2) * n2)
+        w = np.array([w1, 1.0])
+        _assert_shared(ev.q, ev.u, w, (2, 1))
+        qf = qfim(ev.q)
+        assert c_holevo_qubit_pure(qf, w, ev.u) == c_holevo_qubit_pure(ev.q, w, ev.u)
+        assert c_holevo_qubit_pure(qf) == c_holevo_qubit_pure(ev.q)
+        assert compute_report(qf, ev.u).c_h_closed is not None

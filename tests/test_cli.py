@@ -72,6 +72,22 @@ class TestMatrixCommands:
             assert rc == 2
             assert "non-finite" in err
 
+    def test_non_finite_field_named(self, capsys):
+        cases = [
+            ("csep", "--q", "2,0.3;0.3,nan", "'q'"),
+            ("bounds", "--q", "1,nan;nan,1", "'q'"),
+            ("bounds", "--u", "0,nan;nan,0", "'u'"),
+            ("bounds", "--u", "0,inf;-inf,0", "'u'"),
+            ("csep", "--weight", "nan,1", "'weight'"),
+            ("csep", "--weight", "1,inf", "'weight'"),
+            ("order", "--weight", "-inf,1", "'weight'"),
+        ]
+        for command, flag, value, field in cases:
+            args = [command, "--model", "matrix", "--q", "2,0.3;0.3,1", f"{flag}={value}"]
+            rc, out, err = run(capsys, *args)
+            assert rc == 2, (args, out)
+            assert err.startswith("ValidationError") and field in err and "non-finite" in err
+
     def test_asymmetric_matrix_exits_2(self, capsys):
         rc, _, err = run(capsys, "csep", "--model", "matrix", "--q", "1,2;3,4")
         assert rc == 2

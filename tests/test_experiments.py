@@ -9,8 +9,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import qmet.bounds as bounds
 import qmet.experiments as experiments
-from qmet.bounds import c_sld
+import qmet.linalg as linalg
+import qmet.models as models
+import qmet.stepwise as stepwise
+from qmet.bounds import c_sld, compute_report
 from qmet.errors import NoConvergence, SingularQfim
 from qmet.experiments import (
     SCATTER_HEADER,
@@ -26,7 +30,13 @@ from qmet.experiments import (
     write_csv,
     QUBIT_SWEEP_HEADER,
 )
-from qmet.models import eval_qutrit2, eval_qutrit3, geometry_vectors, spin_one_operators
+from qmet.models import (
+    eval_qubit2,
+    eval_qutrit2,
+    eval_qutrit3,
+    geometry_vectors,
+    spin_one_operators,
+)
 from qmet.stepwise import best_order_dp
 
 
@@ -89,6 +99,44 @@ class TestQubitSweep:
         for row, printed in zip(rows, qubit_rows_to_csv(rows)):
             for key, text in zip(QUBIT_SWEEP_HEADER, printed):
                 assert float(text) == row[key]
+
+
+def _count_calls(monkeypatch, name):
+    """Record every call of ``linalg.<name>`` from any module that imported it."""
+    calls = []
+    real = getattr(linalg, name)
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    for mod in (linalg, stepwise, bounds, experiments, models):
+        if getattr(mod, name, None) is real:
+            monkeypatch.setattr(mod, name, spy)
+    return calls
+
+
+class TestFactorizationCounts:
+    """Each QFIM is validated and factored once; csep_ordered refactors its own order."""
+
+    def test_qubit_sweep_row(self, monkeypatch):
+        factored = _count_calls(monkeypatch, "_cholesky")
+        validated = _count_calls(monkeypatch, "_checked_symmetric")
+        qubit_sweep_row(0.3, -0.2, 1.3, 0.9)
+        # one qfim plus one factorization for each of the two orderings
+        assert (len(factored), len(validated)) == (3, 1)
+
+    def test_compute_report(self, monkeypatch):
+        ev2 = eval_qubit2(1.3, 0.0, 0.9, [0.3, -0.2, np.sqrt(0.87)])
+        ev3 = eval_qutrit3(1.0, np.pi / 7.0, np.pi / 5.0, 1.0, haar_pure_state(3, np.random.default_rng(4)))
+        factored = _count_calls(monkeypatch, "_cholesky")
+        validated = _count_calls(monkeypatch, "_checked_symmetric")
+        for ev in (ev2, ev3):
+            report = compute_report(ev.q, ev.u)
+            assert (len(factored), len(validated)) == (1, 1)
+            factored.clear()
+            validated.clear()
+        assert report.t3_unnormalized is not None
 
 
 class TestScatter:

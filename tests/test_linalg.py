@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
 
-from qmet.errors import NotPositiveDefinite
-from qmet.linalg import _cholesky, cholesky, determinant, nuclear_norm, spd_inverse, symmetrize
+from qmet.errors import NotPositiveDefinite, SingularQfim
+from qmet.linalg import (
+    Qfim,
+    _cholesky,
+    cholesky,
+    determinant,
+    nuclear_norm,
+    qfim,
+    spd_inverse,
+    symmetrize,
+)
 from qmet.stepwise import best_order_bruteforce, best_order_dp, csep_ordered, dp_tables
 
 from helpers import det_cofactor, rand_spd
@@ -43,6 +52,25 @@ class TestCholesky:
         with pytest.raises(NotPositiveDefinite):
             cholesky(m)
 
+    @staticmethod
+    def _with_pivots(rng, pivots, tiny=None):
+        """M D M^T with M unit lower triangular: its squared Cholesky pivots are D.
+
+        When ``tiny`` names a pivot, row ``tiny`` of M is the unit vector, so
+        LAPACK computes that squared pivot exactly, and the column below it
+        is scaled so that the pivot's share of every later diagonal entry is
+        between 2 and 4: the pivot tolerance stays at the scale of those.
+        """
+        n = len(pivots)
+        m = np.tril(rng.uniform(-1.0, 1.0, (n, n)), -1) + np.eye(n)
+        if tiny is not None:
+            m[tiny, :tiny] = 0.0
+            below = n - tiny - 1
+            m[tiny + 1:, tiny] = rng.choice([-1.0, 1.0], below) * np.sqrt(
+                rng.uniform(2.0, 4.0, below) / pivots[tiny]
+            )
+        return symmetrize(m @ np.diag(pivots) @ m.T)
+
     def test_error_names_first_bad_pivot(self):
         # a tiny positive pivot before the negative one at which LAPACK stops
         with pytest.raises(NotPositiveDefinite, match="index 1 "):
@@ -50,6 +78,20 @@ class TestCholesky:
         # the unvalidated kernel reads a NaN pivot as singular
         with pytest.raises(NotPositiveDefinite, match="index 2 "):
             _cholesky(np.array([[1.0, 0.0, np.nan], [0.0, 1.0, 0.0], [np.nan, 0.0, 1.0]]))
+        rng = np.random.default_rng(29)
+        for n in range(2, 9):
+            for k in range(n):
+                # LAPACK stops at k, where the squared pivot is negative
+                d = rng.uniform(0.5, 2.0, n)
+                d[k] = -1.0
+                with pytest.raises(NotPositiveDefinite, match=f"index {k} "):
+                    cholesky(self._with_pivots(rng, d))
+                # a tiny positive pivot at i < k fails the rule before LAPACK stops
+                for i in range(k):
+                    d_tiny = d.copy()
+                    d_tiny[i] = 1e-20
+                    with pytest.raises(NotPositiveDefinite, match=f"index {i} "):
+                        cholesky(self._with_pivots(rng, d_tiny, tiny=i))
 
 
 class TestDeterminant:
@@ -133,6 +175,40 @@ class TestValidation:
                          best_order_bruteforce):
                 with pytest.raises(ValueError, match="non-finite"):
                     call(m)
+
+
+class TestQfim:
+    def test_fields_and_identity(self):
+        m = np.array([[4.0, 2.0], [2.0, 5.0]])
+        qf = qfim(m)
+        assert isinstance(qf, Qfim) and qf.n == 2
+        assert np.array_equal(qf.q, m)
+        assert np.array_equal(qf.L, cholesky(m))
+        assert np.array_equal(qf.linv, np.linalg.inv(qf.L))
+        assert qfim(qf) is qf
+
+    def test_inverse_is_spd_inverse(self):
+        rng = np.random.default_rng(37)
+        for _ in range(50):
+            m = rand_spd(rng, int(rng.integers(1, 8)))
+            assert np.array_equal(qfim(m).inverse, spd_inverse(m))
+
+    def test_arrays_read_only(self):
+        m = np.array([[4.0, 2.0], [2.0, 5.0]])
+        qf = qfim(m)
+        for a in (qf.q, qf.L, qf.linv, qf.inverse):
+            with pytest.raises(ValueError):
+                a[0, 0] = 1.0
+        m[0, 0] = 9.0  # the caller's array stays its own
+        assert qf.q[0, 0] == 4.0
+
+    def test_errors(self):
+        with pytest.raises(SingularQfim, match="index 1 "):
+            qfim([[1.0, 2.0], [2.0, 1.0]])
+        for bad, match in ((np.zeros((0, 0)), "empty"), ([[1.0, np.nan], [np.nan, 1.0]], "non-finite"),
+                           ([[1.0, 0.5], [0.0, 1.0]], "not symmetric"), (np.ones((2, 3)), "square")):
+            with pytest.raises(ValueError, match=match):
+                qfim(bad)
 
 
 class TestSolvers:
