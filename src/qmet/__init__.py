@@ -39,7 +39,6 @@ from .bounds import (
 )
 from .errors import (
     ConfigParseError,
-    DegenerateModel,
     Infeasible,
     NoConvergence,
     NotApplicable,
@@ -100,7 +99,6 @@ __all__ = [
     "BoundReport",
     "Brackets",
     "ConfigParseError",
-    "DegenerateModel",
     "DpTables",
     "HolevoSolution",
     "Infeasible",

@@ -261,14 +261,17 @@ def threshold_csep_vs(target, q, u):
         raise SingularQfim("det Q underflows to 0")
     q11, q22, q12 = qf.q[0, 0], qf.q[1, 1], qf.q[0, 1]
     u12 = abs(u[0, 1])
+    with np.errstate(divide="ignore", over="ignore"):
+        # 4 Q_22^2 / x^2 is +inf once x^2 underflows, its limit as x -> 0
+        c_s_threshold = 4.0 * q22**2 / q12**4
+        c_t_threshold = 4.0 * q22**2 / (q12**2 + 2.0 * q22 * u12) ** 2
     diagnostic = None
     if target == "c_s":
-        threshold = 4.0 * q22**2 / q12**4 if q12 != 0.0 else np.inf
+        threshold = c_s_threshold
         diagnostic = (1.0 + np.sqrt(1.0 + q11 / q22)) ** 2 / q11**2
         bound = c_sld(qf)
     elif target == "c_t":
-        denom = q12**2 + 2.0 * q22 * u12
-        threshold = 4.0 * q22**2 / denom**2 if denom != 0.0 else np.inf
+        threshold = c_t_threshold
         bound = c_t(qf, u)
     elif target == "c_r":
         a = u12 * (q12**2 + q22**2)
@@ -276,7 +279,7 @@ def threshold_csep_vs(target, q, u):
         c = u12 - 2.0 * q22
         if a == 0.0:
             # no incompatibility: reduces to the C_S condition
-            threshold = 4.0 * q22**2 / q12**4 if q12 != 0.0 else np.inf
+            threshold = c_s_threshold
         elif c >= 0.0:
             threshold = 0.0
         else:

@@ -23,7 +23,6 @@ from . import holevo as holevo_mod
 from . import stepwise as stepwise_mod
 from .errors import (
     ConfigParseError,
-    DegenerateModel,
     Infeasible,
     NoConvergence,
     NotApplicable,
@@ -44,15 +43,41 @@ from .models import (
     qutrit3_model,
 )
 
-_FLOAT_KEYS = {"B", "theta", "phi", "t"}
-_INT_KEYS = {"seed", "n_states", "n_samples", "multi"}
-_STR_KEYS = {"model", "q", "u", "bloch", "probe", "weight", "ordering", "method", "out"}
-KNOWN_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS
+# Every configuration field with its type and help, in the one order that
+# flags are parsed and copied in, so the config echo and a sweep CSV's
+# comment lines never depend on the hash seed.
+_FIELDS = {
+    "model": (str, "physical model, or 'matrix' for literal --q/--u"),
+    "q": (str, "literal QFIM, rows separated by ';'"),
+    "u": (str, "literal Uhlmann matrix, rows separated by ';'"),
+    "B": (float, "field strength"),
+    "theta": (float, "field polar angle"),
+    "phi": (float, "field azimuthal angle (qutrit3)"),
+    "t": (float, "evolution time"),
+    "bloch": (str, "qubit probe: 3 reals"),
+    "probe": (str, "qutrit probe: 6 reals, re/im interleaved"),
+    "weight": (str, "diagonal weight entries"),
+    "ordering": (str, "1-based estimation order, e.g. 2,1"),
+    "seed": (int, "random seed"),
+    "n_states": (int, "probes per scatter parameter set"),
+    "n_samples": (int, "qubit-sweep instances"),
+    "multi": (int, "number of scatter parameter sets"),
+    "method": (str, "order search: dp or brute"),
+    "out": (str, "output CSV path (sweep commands)"),
+}
+
+# physical model -> (parameter fields in evaluator order, (Q, U) evaluator,
+# state-derivative model built from (probe, t))
+_MODELS = {
+    "qubit2": (("B", "theta", "t"), eval_qubit2, qubit2_model),
+    "qutrit2": (("B", "theta", "t"), eval_qutrit2, qutrit2_model),
+    "qutrit3": (("B", "theta", "phi", "t"), eval_qutrit3, qutrit3_model),
+}
+_CHOICES = {"model": [*_MODELS, "matrix"], "method": ["dp", "brute"]}
 
 _COMPUTE_ERRORS = (
     SingularQfim,
     NotPositiveDefinite,
-    DegenerateModel,
     TooManyParameters,
     NotApplicable,
     Infeasible,
@@ -80,19 +105,17 @@ def load_config(path):
                 raise ConfigParseError(f"line {lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
-            if key not in KNOWN_KEYS:
+            if key not in _FIELDS:
                 raise UnknownKeyError(f"unknown key {key!r} at line {lineno}")
             config[key] = value
     return config
 
 
 def _convert(key, value):
-    if isinstance(value, str):
+    kind = _FIELDS[key][0]
+    if isinstance(value, str) and kind is not str:
         try:
-            if key in _FLOAT_KEYS:
-                return float(value)
-            if key in _INT_KEYS:
-                return int(value)
+            return kind(value)
         except ValueError as exc:
             raise ValidationError(f"field '{key}' must be numeric, got {value!r}") from exc
     return value
@@ -153,19 +176,20 @@ def _require(cfg, keys):
             )
 
 
-def model_params(cfg):
-    model = cfg.get("model")
-    if model not in ("qubit2", "qutrit2", "qutrit3"):
-        raise ValidationError(f"field 'model' must name a physical model, got {model!r}")
-    needed = ["B", "theta", "t"] + (["phi"] if model == "qutrit3" else [])
-    _require(cfg, needed)
-    return [cfg[k] for k in needed]
+def _physical_model(cfg):
+    """(table entry, probe, parameter values in evaluator order) of the configured model."""
+    name = cfg.get("model")
+    if name not in _MODELS:
+        raise ValidationError(f"field 'model' must name a physical model, got {name!r}")
+    entry = _MODELS[name]
+    probe = parse_probe(cfg)
+    _require(cfg, entry[0])
+    return entry, probe, [cfg[k] for k in entry[0]]
 
 
 def evaluate_model(cfg):
     """(Q, U) for the configured model, from a literal matrix or a physical model."""
-    model = cfg.get("model")
-    if model == "matrix":
+    if cfg.get("model") == "matrix":
         _require(cfg, ["q"])
         q = parse_matrix(cfg["q"], "q")
         if np.max(np.abs(q - q.T)) > 1e-8 * (1.0 + np.max(np.abs(q))):
@@ -177,32 +201,15 @@ def evaluate_model(cfg):
         if np.max(np.abs(u + u.T)) > 1e-8 * (1.0 + np.max(np.abs(u))):
             raise ValidationError("field 'u' must be an antisymmetric matrix")
         return q, u
-    probe = parse_probe(cfg)
-    params = model_params(cfg)
-    if model == "qubit2":
-        ev = eval_qubit2(params[0], params[1], params[2], probe)
-    elif model == "qutrit2":
-        ev = eval_qutrit2(params[0], params[1], params[2], probe)
-    else:
-        ev = eval_qutrit3(params[0], params[1], params[3], params[2], probe)
+    (_, evaluate, _), probe, params = _physical_model(cfg)
+    ev = evaluate(*params, probe)
     return ev.q, ev.u
 
 
 def holevo_inputs(cfg):
-    probe = parse_probe(cfg)
-    model_name = cfg["model"]
-    if model_name == "qubit2":
-        b, theta, t = model_params(cfg)
-        model, point = qubit2_model(probe, t), [b, theta]
-    elif model_name == "qutrit2":
-        b, theta, t = model_params(cfg)
-        model, point = qutrit2_model(probe, t), [b, theta]
-    elif model_name == "qutrit3":
-        b, theta, t, phi = model_params(cfg)
-        model, point = qutrit3_model(probe, t), [b, theta, phi]
-    else:
-        raise ValidationError(f"field 'model' must name a physical model, got {model_name!r}")
-    return density_and_derivatives(model, point)
+    (fields, _, derivative_model), probe, _ = _physical_model(cfg)
+    point = [cfg[k] for k in fields if k != "t"]
+    return density_and_derivatives(derivative_model(probe, cfg["t"]), point)
 
 
 def parse_weight(cfg, n):
@@ -365,23 +372,11 @@ def build_parser():
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="flat key=value configuration file")
-        p.add_argument("--model", choices=["qubit2", "qutrit2", "qutrit3", "matrix"])
-        p.add_argument("--q", help="literal QFIM, rows separated by ';'")
-        p.add_argument("--u", help="literal Uhlmann matrix, rows separated by ';'")
-        p.add_argument("--B", type=float)
-        p.add_argument("--theta", type=float)
-        p.add_argument("--phi", type=float)
-        p.add_argument("--t", type=float)
-        p.add_argument("--bloch", help="qubit probe: 3 reals")
-        p.add_argument("--probe", help="qutrit probe: 6 reals, re/im interleaved")
-        p.add_argument("--weight", help="diagonal weight entries")
-        p.add_argument("--ordering", help="1-based estimation order, e.g. 2,1")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--n-states", dest="n_states", type=int)
-        p.add_argument("--n-samples", dest="n_samples", type=int)
-        p.add_argument("--multi", type=int, help="number of scatter parameter sets")
-        p.add_argument("--method", choices=["dp", "brute"])
-        p.add_argument("--out", help="output CSV path (sweep commands)")
+        for key, (kind, help_text) in _FIELDS.items():
+            p.add_argument(
+                "--" + key.replace("_", "-"), dest=key, type=kind,
+                choices=_CHOICES.get(key), help=help_text,
+            )
     return parser
 
 
@@ -395,7 +390,7 @@ def effective_config(args):
     if args.config:
         for key, value in load_config(args.config).items():
             cfg[key] = _convert(key, value)
-    for key in KNOWN_KEYS:
+    for key in _FIELDS:
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value

@@ -13,10 +13,6 @@ class SingularQfim(QmetError):
     """A quantum Fisher information matrix is singular or not positive definite."""
 
 
-class DegenerateModel(QmetError):
-    """The model's QFIM has a near-zero eigenvalue at the requested point."""
-
-
 class TooManyParameters(QmetError):
     """Parameter count exceeds the guard of an ordering-search routine."""
 

@@ -1,8 +1,8 @@
 """Pure-state parametric models and their information matrices.
 
 A model maps a real parameter vector to a normalized state vector.  From
-the state and its derivatives we build the two matrices every bound in
-this package consumes:
+the state and its derivatives one Gram product builds the two matrices
+every bound in this package consumes:
 
 * the quantum Fisher information matrix
   ``Q_uv = 4 Re(<d_u psi|d_v psi> - <d_u psi|psi><psi|d_v psi>)``,
@@ -11,21 +11,25 @@ this package consumes:
 
 both gauge invariant under a global phase of the state.
 
-Besides the generic evaluator, the module ships three built-in SU(2)
-unitary-encoding models with analytic closed forms: a qubit and a qutrit
-probe under ``H = B (cos(theta) Jx + sin(theta) Jz)`` estimating (B, theta),
-and a qutrit probe under the full three-direction field estimating
-(B, theta, phi).  Evolution time ``t`` is a known constant of the model.
-Parameter ordering is (B, theta, phi) throughout.
+The module ships three built-in SU(2) unitary-encoding models: a qubit and
+a qutrit probe under ``H = B (cos(theta) Jx + sin(theta) Jz)`` estimating
+(B, theta), whose (Q, U) have closed forms in the probe's spin
+expectations, and a qutrit probe under the full three-direction field
+estimating (B, theta, phi), whose (Q, U) come from analytic state
+derivatives through the same Gram product as any other model.  Evolution
+time ``t`` is a known constant of the model.  Parameter ordering is
+(B, theta, phi) throughout.
+
+Evaluators return Q as computed, singular or not; a caller that must
+reject a degenerate model calls ``linalg.qfim(ev.q)``, which applies the
+package's one pivot rule.  :func:`hermitian_operator_basis` is the
+generalized Gell-Mann basis used by the Holevo SDP.
 """
 
 from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-
-from .errors import DegenerateModel
-from .linalg import pivot_tol
 
 DEFAULT_STEP = 1e-5
 
@@ -56,43 +60,31 @@ def gell_mann_basis():
     Satisfies ``Tr[b_i b_j] = delta_ij``; the identity element comes last so a
     pure state's coefficient vector has r_9 = 1/sqrt(3).
     """
-    g = np.zeros((8, 3, 3), dtype=complex)
-    g[0, 0, 1] = g[0, 1, 0] = 1.0
-    g[1, 0, 1], g[1, 1, 0] = -1.0j, 1.0j
-    g[2, 0, 0], g[2, 1, 1] = 1.0, -1.0
-    g[3, 0, 2] = g[3, 2, 0] = 1.0
-    g[4, 0, 2], g[4, 2, 0] = -1.0j, 1.0j
-    g[5, 1, 2] = g[5, 2, 1] = 1.0
-    g[6, 1, 2], g[6, 2, 1] = -1.0j, 1.0j
-    g[7] = np.diag([1.0, 1.0, -2.0]) / np.sqrt(3.0)
-    basis = [m / np.sqrt(2.0) for m in g]
-    basis.append(np.eye(3, dtype=complex) / np.sqrt(3.0))
-    return basis
+    return hermitian_operator_basis(3)
 
 
 def hermitian_operator_basis(d):
     """Orthonormal Hermitian operator basis of a d-dimensional space.
 
-    Generalized Gell-Mann construction; for d = 3 this is exactly
-    :func:`gell_mann_basis`.
+    Generalized Gell-Mann construction, in Gell-Mann order: for j = 1..d-1
+    the symmetric and antisymmetric pair of every i < j, then
+    diag(1, ..., 1, -j) / sqrt(j (j + 1) / 2), each over sqrt(2); the
+    identity over sqrt(d) comes last.  For d = 3 these are the Gell-Mann
+    matrices Gamma_1..Gamma_8.
     """
-    if d == 3:
-        return gell_mann_basis()
     basis = []
-    for i in range(d):
-        for j in range(i + 1, d):
+    for j in range(1, d):
+        for i in range(j):
             m = np.zeros((d, d), dtype=complex)
             m[i, j] = m[j, i] = 1.0
             basis.append(m / np.sqrt(2.0))
             m = np.zeros((d, d), dtype=complex)
             m[i, j], m[j, i] = -1.0j, 1.0j
             basis.append(m / np.sqrt(2.0))
-    for k in range(1, d):
-        diag = np.zeros(d)
-        diag[:k] = 1.0
-        diag[k] = -k
-        m = np.diag(diag).astype(complex)
-        basis.append(m / np.linalg.norm(diag))
+        diag = np.zeros(d, dtype=complex)
+        diag[:j] = 1.0
+        diag[j] = -j
+        basis.append(np.diag(diag) / np.sqrt(j * (j + 1) / 2.0) / np.sqrt(2.0))
     basis.append(np.eye(d, dtype=complex) / np.sqrt(d))
     return basis
 
@@ -219,31 +211,29 @@ class PureStateModel:
 
 
 def qfim_muc_from_derivatives(psi, dpsi):
-    """(Q, U) from a state and its parameter derivatives."""
-    n = len(dpsi)
-    g = np.zeros((n, n), dtype=complex)
-    overlaps = [np.vdot(d, psi) for d in dpsi]
-    for mu in range(n):
-        for nu in range(n):
-            g[mu, nu] = np.vdot(dpsi[mu], dpsi[nu]) - overlaps[mu] * np.conj(
-                overlaps[nu]
-            )
+    """(Q, U) = 4 (Re G, Im G) from a state and its parameter derivatives.
+
+    With the derivatives as the rows of D and o = conj(D) psi, the gauge
+    invariant Gram matrix is ``G = conj(D) D^T - o o^H``.
+    """
+    d = np.asarray(dpsi, dtype=complex)
+    d_bar = d.conj()
+    o = d_bar @ psi
+    g = d_bar @ d.T - np.outer(o, o.conj())
     q = 4.0 * np.real(g)
     u = 4.0 * np.imag(g)
     return 0.5 * (q + q.T), 0.5 * (u - u.T)
 
 
-def eval_generic(model, p, require_nondegenerate=False):
+def eval_generic(model, p):
     """Evaluate Q and U of any pure-state model from its state derivatives.
 
-    With ``require_nondegenerate`` set, raises DegenerateModel when Q has an
-    eigenvalue at or below the pivot tolerance; by default degeneracy is the
-    caller's concern (a constant model legitimately returns Q = U = 0).
+    Degeneracy is the caller's concern (a constant model legitimately
+    returns Q = U = 0); ``qfim(ev.q)`` rejects a singular Q under the
+    package's pivot rule.
     """
     psi, dpsi = model.derivatives(p)
     q, u = qfim_muc_from_derivatives(psi, dpsi)
-    if require_nondegenerate and np.min(np.linalg.eigvalsh(q)) <= pivot_tol(q):
-        raise DegenerateModel("QFIM is singular at this parameter point")
     return ModelEvaluation(q=q, u=u)
 
 
@@ -315,41 +305,18 @@ def eval_qutrit2(B, theta, t, probe):
     return ModelEvaluation(q=q, u=u)
 
 
-def eval_qutrit3(B, theta, phi, t, probe, require_nondegenerate=False):
+def eval_qutrit3(B, theta, phi, t, probe):
     """Q and U of the three-parameter qutrit model.
 
-    The QFIM is assembled in closed form: the (B, theta) block is the
-    two-parameter expression evaluated with the three-parameter direction
-    vectors, plus
+    Both come from :func:`qutrit3_model`'s analytic state derivatives.  Q
+    equals the closed form whose (B, theta) block is the two-parameter
+    expression evaluated with the three-parameter direction vectors, plus
 
     Q_pp = 16 sin^2(Bt/2) cos^2(theta) Var(J_n2),
     Q_Bp = -4 t sin(Bt/2) cos(theta) (<{J_n2, J_ntheta}> - 2 <J_n2><J_ntheta>),
     Q_tp =  8 sin^2(Bt/2) cos(theta) (<{J_n1, J_n2}>  - 2 <J_n1><J_n2>).
-
-    U has no comparably simple closed form here and is always computed
-    from the generic pure-state expression via analytic state derivatives.
     """
-    psi = normalize_state(probe, 3)
-    n_theta, n_1, n_2 = geometry_vectors3(B, theta, phi, t)
-    jx, jy, jz = spin_one_operators()
-    j = np.stack([jx, jy, jz])
-    j_th = np.tensordot(n_theta, j, axes=1)
-    j_1 = np.tensordot(n_1, j, axes=1)
-    j_2 = np.tensordot(n_2, j, axes=1)
-    s = np.sin(B * t / 2.0)
-    ct = np.cos(theta)
-    q = np.empty((3, 3))
-    q[0, 0] = 4.0 * t**2 * _variance(psi, j_th)
-    q[1, 1] = 16.0 * s**2 * _variance(psi, j_1)
-    q[2, 2] = 16.0 * s**2 * ct**2 * _variance(psi, j_2)
-    q[0, 1] = q[1, 0] = -4.0 * t * s * _covariance(psi, j_1, j_th)
-    q[0, 2] = q[2, 0] = -4.0 * t * s * ct * _covariance(psi, j_2, j_th)
-    q[1, 2] = q[2, 1] = 8.0 * s**2 * ct * _covariance(psi, j_1, j_2)
-    model = qutrit3_model(psi, t)
-    _, u = qfim_muc_from_derivatives(*model.derivatives([B, theta, phi]))
-    if require_nondegenerate and np.min(np.linalg.eigvalsh(q)) <= pivot_tol(q):
-        raise DegenerateModel("QFIM is singular at this parameter point")
-    return ModelEvaluation(q=q, u=u)
+    return eval_generic(qutrit3_model(probe, t), [B, theta, phi])
 
 
 def _qubit_unitary(n, angle):

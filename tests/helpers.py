@@ -68,7 +68,8 @@ def simplex_min_csep(a_terms, n_starts=3, seed=0):
     """Minimize sum_j a_j / gamma_j over the probability simplex numerically.
 
     Independent oracle for the closed-form stepwise value: SLSQP from a few
-    starting points with an explicit normalization constraint.
+    starting points with an explicit normalization constraint, given the
+    exact gradients -a_j / gamma_j^2 and (1, ..., 1).
     """
     a = np.asarray(a_terms, dtype=float)
     n = a.size
@@ -79,6 +80,9 @@ def simplex_min_csep(a_terms, n_starts=3, seed=0):
     def f(g):
         return float(np.sum(a / g))
 
+    def grad(g):
+        return -a / g**2
+
     best = np.inf
     starts = [np.full(n, 1.0 / n)]
     for _ in range(n_starts - 1):
@@ -88,8 +92,11 @@ def simplex_min_csep(a_terms, n_starts=3, seed=0):
             f,
             np.clip(g0, 1e-6, None),
             method="SLSQP",
+            jac=grad,
             bounds=[(1e-9, 1.0)] * n,
-            constraints=[{"type": "eq", "fun": lambda g: np.sum(g) - 1.0}],
+            constraints=[
+                {"type": "eq", "fun": lambda g: np.sum(g) - 1.0, "jac": lambda g: np.ones(n)}
+            ],
             options={"ftol": 1e-14, "maxiter": 500},
         )
         if res.fun < best:
@@ -178,6 +185,18 @@ def newton_system_by_einsum(gk, y, ginv):
     t_mats = np.einsum("ab,kbc,cd->kad", y, gk, ginv)
     mm = np.einsum("kab,lba->kl", gk, t_mats)
     return 0.5 * (mm + mm.T), tr_gk_ginv
+
+
+def qfim_muc_by_loop(psi, dpsi):
+    """(Q, U) from one vdot per pair: 4 Re/Im of <d_u|d_v> - <d_u|psi><psi|d_v>."""
+    n = len(dpsi)
+    g = np.zeros((n, n), dtype=complex)
+    for mu in range(n):
+        for nu in range(n):
+            g[mu, nu] = np.vdot(dpsi[mu], dpsi[nu]) - np.vdot(dpsi[mu], psi) * np.vdot(
+                psi, dpsi[nu]
+            )
+    return 4.0 * g.real, 4.0 * g.imag
 
 
 def central_diff_state_derivatives(state_fn, p, h=1e-5):

@@ -278,6 +278,19 @@ class TestThresholds:
             assert verdict.threshold_value == pytest.approx(expected, rel=1e-9)
             assert verdict.consistent
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("q12", [1e-70, 1e-80, 1e-90])
+    def test_tiny_off_diagonal_gives_inf_without_warning(self, q12):
+        # Q_12^4 is subnormal at 1e-80 and underflows to 0 at 1e-90
+        q = np.array([[1.0, q12], [q12, 2.0]])
+        zero = np.zeros((2, 2))
+        expected = 4.0 * 2.0**2 / q12**4 if q12 == 1e-70 else np.inf
+        for target in ("c_s", "c_t", "c_r"):
+            verdict = threshold_csep_vs(target, q, zero)
+            assert verdict.threshold_value == pytest.approx(expected, rel=1e-12)
+            assert not verdict.predicate_holds
+            assert verdict.consistent
+
     def test_consistency_on_random_qubit_instances(self):
         rng = np.random.default_rng(11)
         for _ in range(1000):

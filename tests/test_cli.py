@@ -10,6 +10,7 @@ import pytest
 import qmet.cli as cli
 from qmet.cli import load_config, main
 from qmet.errors import ConfigParseError, UnknownKeyError
+from qmet.models import eval_qubit2, eval_qutrit2, eval_qutrit3
 
 
 def run(capsys, *argv):
@@ -148,6 +149,36 @@ class TestModelCommands:
         )
         assert rc == 2
         assert "'t'" in err
+
+    @pytest.mark.parametrize(
+        "model, probe_args, evaluate",
+        [
+            ("qubit2", ["--bloch", "0.6,0,0.8"], lambda p: eval_qubit2(1.3, 0.4, 0.9, p)),
+            ("qutrit2", ["--probe", "0.6,0,0,0.8,0,0"], lambda p: eval_qutrit2(1.3, 0.4, 0.9, p)),
+            (
+                "qutrit3",
+                ["--probe", "0.6,0,0,0.8,0,0", "--phi", "0.2"],
+                lambda p: eval_qutrit3(1.3, 0.4, 0.2, 0.9, p),
+            ),
+        ],
+    )
+    def test_model_table(self, capsys, model, probe_args, evaluate):
+        argv = ["--model", model, "--B", "1.3", "--theta", "0.4", "--t", "0.9", *probe_args]
+        rc, out, _ = run(capsys, "qfim", *argv)
+        assert rc == 0
+        probe = [0.6, 0.0, 0.8] if model == "qubit2" else np.array([0.6, 0.8j, 0.0])
+        ev = evaluate(probe)
+        doc = json.loads(out)["result"]
+        assert np.array_equal(doc["q"], ev.q) and np.array_equal(doc["u"], ev.u)
+        rc, out, _ = run(capsys, "holevo", *argv)
+        assert rc == 0
+        assert json.loads(out)["result"]["status"] == "converged"
+
+    @pytest.mark.parametrize("command", ["qfim", "holevo"])
+    def test_missing_model(self, capsys, command):
+        rc, _, err = run(capsys, command, "--B", "1", "--theta", "0", "--t", "1")
+        assert rc == 2
+        assert "'model'" in err
 
     def test_missing_probe(self, capsys):
         rc, _, err = run(
@@ -341,3 +372,25 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["result"]["ordering"] == [2, 1]
+
+
+def test_sweep_csv_independent_of_hash_seed(tmp_path):
+    # two keys outside the scatter defaults used to come out in hash order
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outputs = []
+    for hash_seed in ("1", "2", "3", "4"):
+        out_path = tmp_path / f"scatter_{hash_seed}.csv"
+        env = dict(
+            os.environ,
+            PYTHONHASHSEED=hash_seed,
+            PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "qmet.cli", "scatter", "--multi", "1", "--n-states", "2",
+             "--seed", "1", "--model", "qutrit3", "--out", str(out_path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(out_path.read_bytes())
+    assert all(out == outputs[0] for out in outputs)
+    assert b"# seed=1\n# model=qutrit3\n# multi=1\nindex," in outputs[0]

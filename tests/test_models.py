@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from qmet.errors import DegenerateModel
+from qmet.errors import SingularQfim
+from qmet.linalg import qfim
 from qmet.models import (
     PureStateModel,
     bloch_to_state,
@@ -13,6 +14,7 @@ from qmet.models import (
     geometry_vectors,
     geometry_vectors3,
     hermitian_operator_basis,
+    qfim_muc_from_derivatives,
     qubit2_model,
     qutrit2_model,
     qutrit3_model,
@@ -22,12 +24,56 @@ from qmet.models import (
     state_to_bloch,
 )
 
-from helpers import central_diff_state_derivatives
+from helpers import central_diff_state_derivatives, qfim_muc_by_loop
 
 
 def rand_qutrit(rng):
     z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     return z / np.linalg.norm(z)
+
+
+def qutrit3_closed_q(B, theta, phi, t, psi):
+    """The paper's closed-form three-parameter QFIM from spin-1 expectations."""
+    n_theta, n_1, n_2 = geometry_vectors3(B, theta, phi, t)
+    j = np.stack(spin_one_operators())
+    j_th, j_1, j_2 = (np.tensordot(n, j, axes=1) for n in (n_theta, n_1, n_2))
+
+    def ex(op):
+        return np.real(np.vdot(psi, op @ psi))
+
+    def var(a):
+        return ex(a @ a) - ex(a) ** 2
+
+    def cov(a, b):
+        return ex(a @ b + b @ a) - 2.0 * ex(a) * ex(b)
+
+    s, ct = np.sin(B * t / 2.0), np.cos(theta)
+    q = np.empty((3, 3))
+    q[0, 0] = 4.0 * t**2 * var(j_th)
+    q[1, 1] = 16.0 * s**2 * var(j_1)
+    q[2, 2] = 16.0 * s**2 * ct**2 * var(j_2)
+    q[0, 1] = q[1, 0] = -4.0 * t * s * cov(j_1, j_th)
+    q[0, 2] = q[2, 0] = -4.0 * t * s * ct * cov(j_2, j_th)
+    q[1, 2] = q[2, 1] = 8.0 * s**2 * ct * cov(j_1, j_2)
+    return q
+
+
+# Gamma_1..Gamma_8 over sqrt(2), then I/sqrt(3), written out entry by entry
+_R2, _R3 = np.sqrt(2.0), np.sqrt(3.0)
+GELL_MANN_TABLE = np.array(
+    [
+        [[0, 1, 0], [1, 0, 0], [0, 0, 0]],
+        [[0, -1j, 0], [1j, 0, 0], [0, 0, 0]],
+        [[1, 0, 0], [0, -1, 0], [0, 0, 0]],
+        [[0, 0, 1], [0, 0, 0], [1, 0, 0]],
+        [[0, 0, -1j], [0, 0, 0], [1j, 0, 0]],
+        [[0, 0, 0], [0, 0, 1], [0, 1, 0]],
+        [[0, 0, 0], [0, 0, -1j], [0, 1j, 0]],
+        [[1 / _R3, 0, 0], [0, 1 / _R3, 0], [0, 0, -2 / _R3]],
+    ],
+    dtype=complex,
+) / _R2
+GELL_MANN_TABLE = np.concatenate([GELL_MANN_TABLE, [np.eye(3) / _R3]])
 
 
 class TestOperatorBases:
@@ -44,8 +90,11 @@ class TestOperatorBases:
     def test_identity_element_last(self):
         assert np.allclose(gell_mann_basis()[8], np.eye(3) / np.sqrt(3.0))
 
+    def test_gell_mann_table(self):
+        assert np.array_equal(np.array(gell_mann_basis()), GELL_MANN_TABLE)
+
     def test_generalized_basis_matches_dims(self):
-        for d in (2, 3):
+        for d in (2, 3, 4, 5):
             basis = hermitian_operator_basis(d)
             assert len(basis) == d * d
             gram = np.array(
@@ -239,12 +288,20 @@ class TestQutritModels:
             assert np.allclose(ev.q, g.q, atol=1e-6)
             assert np.allclose(ev.u, g.u, atol=1e-6)
 
+    def test_qutrit3_matches_closed_forms(self):
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            B, th, t = rng.uniform(0.3, 3), rng.uniform(-np.pi, np.pi), rng.uniform(0.3, 3)
+            ph = rng.uniform(0.0, 2.0 * np.pi)
+            psi = rand_qutrit(rng)
+            ev = eval_qutrit3(B, th, ph, t, psi)
+            assert np.allclose(ev.q, qutrit3_closed_q(B, th, ph, t, psi), rtol=0, atol=1e-10)
+
     def test_degenerate_flag(self):
         rng = np.random.default_rng(17)
-        with pytest.raises(DegenerateModel):
-            eval_qutrit3(
-                1.0, np.pi / 2.0, 0.3, 1.0, rand_qutrit(rng), require_nondegenerate=True
-            )
+        ev = eval_qutrit3(1.0, np.pi / 2.0, 0.3, 1.0, rand_qutrit(rng))
+        with pytest.raises(SingularQfim):
+            qfim(ev.q)
 
 
 class TestGenericEvaluator:
@@ -258,8 +315,22 @@ class TestGenericEvaluator:
     def test_constant_model_degenerate_flag(self):
         psi = np.array([1.0, 0.0], dtype=complex)
         model = PureStateModel(dim=2, n_params=2, state_fn=lambda p: psi)
-        with pytest.raises(DegenerateModel):
-            eval_generic(model, [0.5, 0.5], require_nondegenerate=True)
+        ev = eval_generic(model, [0.5, 0.5])
+        with pytest.raises(SingularQfim):
+            qfim(ev.q)
+
+    def test_gram_product_matches_loop(self):
+        rng = np.random.default_rng(22)
+        for d in (2, 3, 4, 5):
+            for n in (1, 2, 3, 4):
+                psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+                psi /= np.linalg.norm(psi)
+                dpsi = list(rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d)))
+                q, u = qfim_muc_from_derivatives(psi, dpsi)
+                q_ref, u_ref = qfim_muc_by_loop(psi, dpsi)
+                scale = np.max(np.abs(q_ref))
+                assert np.max(np.abs(q - q_ref)) <= 1e-14 * scale
+                assert np.max(np.abs(u - u_ref)) <= 1e-14 * scale
 
     def test_gauge_invariance(self):
         rng = np.random.default_rng(18)
