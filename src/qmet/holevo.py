@@ -3,43 +3,51 @@
 The bound minimizes ``Tr[W Re Z] + ||sqrt(W) Im Z sqrt(W)||_1`` with
 ``Z_uv = Tr[rho X_u X_v]`` over Hermitian observable families satisfying
 the local unbiasedness conditions ``Tr[d_v rho X_u] = delta_uv`` and
-``Tr[rho X_u] = 0``.  Expanding each X_u in an orthonormal Hermitian
-operator basis turns this into the equivalent semidefinite program
+``Tr[rho X_u] = 0``, following Albarelli, Friel & Datta, PRL 123, 200503
+(2019).  Expanding each X_u in an orthonormal Hermitian operator basis
+turns this into the equivalent semidefinite program
 
     minimize  Tr[W V]   over real symmetric V and coefficients X
     subject to  [[V, (R X)^dag], [R X, I]] >= 0  (complex Hermitian),
 
-where S_ij = Tr[rho b_i b_j] = R^dag R is factored at its numerical rank
-r (r = d for pure states), so the Schur block has complex size n + r.
-Minimizing Tr[W V] over V >= Z recovers exactly the Re/Im-nuclear-norm
+where R x = vec(X V_r Lambda_r^1/2) for rho = V_r Lambda_r V_r^dag at its
+numerical rank r, so Z = (R X)^dag (R X) and the Schur block has complex
+size n + d r.  One eigendecomposition of rho serves both the PSD check and
+R.  Minimizing Tr[W V] over V >= Z recovers exactly the Re/Im-nuclear-norm
 objective.  The unbiasedness constraints are affine and eliminated up
-front: X = X0 + N xi with N spanning their null space, which keeps the
-interior point problem unconstrained apart from the cone.
+front by one SVD: X = X0 + N xi, with X0 their least-norm solution and N
+an orthonormal basis of the null-space directions that R sees.  Directions
+R maps to zero change X but not Z, so they are dropped.  The three rank
+decisions (rho, the constraints, R N) share the relative cut RANK_TOL.
 
 The cone constraint is realified ([[Re M, -Im M], [Im M, Re M]] >= 0) and
 solved by a primal-dual path-following method in the dual-scaling flavor:
 the search direction in the variables z comes from the Newton system
 M dz = mu tr[G_k G^-1] - c with M_kl = tr[G_k Y G_l G^-1] symmetrized,
 and the cone multiplier Y is updated from the linearized complementarity
-condition.  The p constraint matrices G_k (m x m; p = 21 and m = 12 for
-the three-parameter qutrit) are kept as one flattened p x m^2 stack: M is
-one batched matmul T_k = Y G_k G^-1 followed by one GEMM with the stack, and
-every other term of an iteration is a product with it.  The G_k have one or
-two nonzero blocks each; that sparsity is not exploited.
+condition.  Each iterate factors G and Y once (LAPACK dpotrf and dtrtri);
+G^-1 and both step lengths come from those factors.  The p constraint
+matrices G_k (m x m; p = 9 and m = 12 for the three-parameter qutrit with
+a pure probe) are kept as one flattened p x m^2 stack: M is one batched
+matmul T_k = Y G_k G^-1 followed by one GEMM with the stack, and every
+other term of an iteration is a product with it.  The G_k have one or two
+nonzero blocks each; that sparsity is not exploited.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .bounds import c_sld, c_t, weight_matrix
 from .errors import Infeasible
-from .linalg import qfim
+from .linalg import qfim, symmetrize
 from .models import hermitian_operator_basis
 
 SDP_TOL = 1e-6
 CONSTRAINT_TOL = 1e-8
 MAX_ITERATIONS = 500
+RANK_TOL = 1e-12
 _POLISH_TOL = 1e-11
 _BOUNDARY_FRACTION = 0.98
 
@@ -79,6 +87,9 @@ def _realify(m):
 
 
 def _validate_inputs(rho, drho):
+    """Checked rho, its eigenvalues and eigenvectors, and drho; eigh(rho) also gives R."""
+    if len(drho) == 0:
+        raise ValueError("drho must hold at least one derivative")
     rho = np.asarray(rho, dtype=complex)
     d = rho.shape[0]
     scale = 1.0 + float(np.max(np.abs(rho)))
@@ -86,7 +97,8 @@ def _validate_inputs(rho, drho):
         raise ValueError("rho must be Hermitian")
     if abs(np.trace(rho).real - 1.0) > 1e-10:
         raise ValueError("rho must have unit trace")
-    if np.min(np.linalg.eigvalsh(rho)) < -1e-10:
+    evals, evecs = np.linalg.eigh(rho)
+    if evals[0] < -1e-10:
         raise ValueError("rho must be positive semidefinite")
     out = []
     for k, dr in enumerate(drho):
@@ -99,21 +111,21 @@ def _validate_inputs(rho, drho):
         if abs(np.trace(dr)) > 1e-8 * dscale:
             raise ValueError(f"drho[{k}] must be traceless")
         out.append(dr)
-    return rho, out
+    return rho, evals, evecs, out
 
 
-def _max_step(p, dp):
-    """Largest step keeping p + a*dp positive definite, within the boundary fraction.
+def _inverse_factor(a):
+    """L^-1 for the lower Cholesky factor L of ``a``, or None where LAPACK's dpotrf stops."""
+    L, info = lapack.dpotrf(a, lower=1)
+    return None if info else lapack.dtrtri(L, lower=1)[0]
 
-    Returns 0 when the current iterate has already lost numerical positive
-    definiteness, which the main loop treats as a stall.
+
+def _max_step(linv, dp):
+    """Largest step keeping L L^T + a*dp positive definite, within the boundary fraction.
+
+    ``linv`` is the inverse Cholesky factor of the current iterate.
     """
-    try:
-        L = np.linalg.cholesky(p)
-    except np.linalg.LinAlgError:
-        return 0.0
-    linv = np.linalg.inv(L)
-    lam_min = float(np.min(np.linalg.eigvalsh(linv @ dp @ linv.T)))
+    lam_min = float(np.linalg.eigvalsh(linv @ dp @ linv.T)[0])
     if lam_min >= -1e-14:
         return 1.0
     return min(1.0, -_BOUNDARY_FRACTION / lam_min)
@@ -131,43 +143,45 @@ def _newton_system(gflat, y, ginv):
     return 0.5 * (mm + mm.T), gflat @ ginv.ravel()
 
 
-def holevo_bound(rho, drho, w=None, sdp_tol=SDP_TOL, max_iterations=MAX_ITERATIONS):
+def holevo_bound(rho, drho, w=None):
     """Holevo bound of a (pure or mixed) model given rho and its derivatives.
 
-    Raises Infeasible when the unbiasedness system has no solution (the
-    model is not locally identifiable).  A run that exhausts the iteration
-    budget returns its best value with status "max_iter" and the reached
-    duality gap, rather than raising.
+    Raises ValueError for invalid input, including an empty ``drho``, and
+    Infeasible when the unbiasedness system has no solution (the model is
+    not locally identifiable).  A run that exhausts the iteration budget
+    returns its best value with status "max_iter" and the reached duality
+    gap, rather than raising.
     """
-    rho, drho = _validate_inputs(rho, drho)
-    d = rho.shape[0]
+    rho, evals, evecs, drho = _validate_inputs(rho, drho)
     n = len(drho)
     wm = weight_matrix(w, n)
-    basis = hermitian_operator_basis(d)
+    basis = hermitian_operator_basis(rho.shape[0])
     stacked = np.array(basis)  # nb x d x d
+    nb = len(basis)
     e_ops = np.array(drho + [rho])  # d_1 rho, ..., d_n rho, rho
 
-    # unbiasedness constraints E x_u = (e_u; 0), stacked over the basis
+    # unbiasedness constraints E x_u = (e_u; 0), stacked over the basis: one
+    # SVD gives the least-norm solution X0 and the null space; X0 is
+    # feasible when it satisfies the constraints as evaluated in floating point
     e_mat = np.einsum("kab,iba->ki", e_ops, stacked).real
     rhs = np.vstack([np.eye(n), np.zeros((1, n))])
-    x0, *_ = np.linalg.lstsq(e_mat, rhs, rcond=None)
+    u_e, sv, vt = np.linalg.svd(e_mat)
+    rank = int(np.sum(sv > RANK_TOL * sv[0]))
+    x0 = vt[:rank].T @ ((u_e[:, :rank].T @ rhs) / sv[:rank, None])  # nb x n
     if np.max(np.abs(e_mat @ x0 - rhs)) > CONSTRAINT_TOL:
         raise Infeasible("local unbiasedness constraints have no solution")
-    _, sv, vt = np.linalg.svd(e_mat)
-    rank = int(np.sum(sv > 1e-12 * sv[0]))
-    nullspace = vt[rank:].T  # nb x f
 
-    # Gram matrix S_ij = Tr[rho b_i b_j], factored at numerical rank
-    s_mat = np.einsum("iab,jba->ij", rho @ stacked, stacked)
-    evals, evecs = np.linalg.eigh(s_mat)
-    keep = evals > 1e-12 * max(evals[-1], 1e-300)
-    r_fact = (np.sqrt(evals[keep])[:, None] * evecs[:, keep].conj().T)  # r x nb
-    r_rank = r_fact.shape[0]
+    # Gram factor R: column i is vec(b_i V_r Lambda_r^1/2), so R^dag R = Tr[rho b_i b_j]
+    keep = evals > RANK_TOL * evals[-1]
+    r_fact = (stacked @ (evecs[:, keep] * np.sqrt(evals[keep]))).reshape(nb, -1).T
+    r_rank = r_fact.shape[0]  # d r
 
-    # drop null-space directions invisible to the Gram factor
-    r_null = r_fact @ nullspace
-    visible = np.linalg.norm(r_null, axis=0) > 1e-12
-    nullspace = nullspace[:, visible]
+    # orthonormal basis of the null-space directions R sees, cut relative to
+    # sqrt(lambda_max(rho)), which bounds the norm of R
+    r_null = r_fact @ vt[rank:].T
+    _, sv_r, wt = np.linalg.svd(np.vstack([r_null.real, r_null.imag]), full_matrices=False)
+    wt = wt[: int(np.sum(sv_r > RANK_TOL * np.sqrt(evals[-1])))]
+    nullspace = vt[rank:].T @ wt.T  # nb x f
     f = nullspace.shape[1]
 
     mc = n + r_rank
@@ -180,7 +194,7 @@ def holevo_bound(rho, drho, w=None, sdp_tol=SDP_TOL, max_iterations=MAX_ITERATIO
     blk = np.zeros((p, mc, mc), dtype=complex)
     blk[np.arange(nv), upper[0], upper[1]] = blk[np.arange(nv), upper[1], upper[0]] = 1.0
     xi_blk = blk[nv:].reshape(n, f, mc, mc)  # a view into blk
-    cols = r_null[:, visible].T  # f x r: R applied to each kept null-space direction
+    cols = wt @ r_null.T  # f x (d r): R applied to each null-space basis direction
     xi_blk[np.arange(n), :, n:, np.arange(n)] = cols
     xi_blk[np.arange(n), :, np.arange(n), n:] = cols.conj()
     gflat = _realify(blk).reshape(p, m * m)
@@ -207,19 +221,21 @@ def holevo_bound(rho, drho, w=None, sdp_tol=SDP_TOL, max_iterations=MAX_ITERATIO
     iterations = 0
     sigma = 0.3
     prev_gap = np.inf
-    for iterations in range(1, max_iterations + 1):
-        ginv = np.linalg.inv(g)
-        ginv = 0.5 * (ginv + ginv.T)
+    for iterations in range(1, MAX_ITERATIONS + 1):
         gap = float(np.sum(y * g))
         obj = float(cvec @ z)
         scale = 1.0 + abs(obj)
         resid = float(np.max(np.abs(gflat @ y.ravel() - cvec)))  # y is symmetric
-        if gap <= sdp_tol * scale and resid <= CONSTRAINT_TOL * scale:
+        if gap <= SDP_TOL * scale and resid <= CONSTRAINT_TOL * scale:
             status = "converged"
             if gap <= _POLISH_TOL * scale:
                 break
         if gap <= 0.5 * _POLISH_TOL * scale:
             break
+        g_linv, y_linv = _inverse_factor(g), _inverse_factor(y)
+        if g_linv is None or y_linv is None:
+            break
+        ginv = symmetrize(g_linv.T @ g_linv)
         mu = sigma * gap / m
         mm, tr_gk_ginv = _newton_system(gflat, y, ginv)
         rhs_vec = mu * tr_gk_ginv - cvec
@@ -230,15 +246,15 @@ def holevo_bound(rho, drho, w=None, sdp_tol=SDP_TOL, max_iterations=MAX_ITERATIO
         dg = (dz @ gflat).reshape(m, m)
         dy = mu * ginv - y - 0.5 * (ginv @ dg @ y + y @ dg @ ginv)
         dy = 0.5 * (dy + dy.T)
-        alpha_z = _max_step(g, dg)
-        alpha_y = _max_step(y, dy)
+        alpha_z = _max_step(g_linv, dg)
+        alpha_y = _max_step(y_linv, dy)
         if max(alpha_z, alpha_y) < 1e-10:
             break
         z = z + alpha_z * dz
         g = g0 + (z @ gflat).reshape(m, m)
         y = y + alpha_y * dy
         sigma = 0.15 if min(alpha_z, alpha_y) > 0.9 else 0.5
-        if prev_gap / max(gap, 1e-300) < 1.000001 and gap < 1e3 * sdp_tol * scale:
+        if prev_gap / max(gap, 1e-300) < 1.000001 and gap < 1e3 * SDP_TOL * scale:
             break  # stalled after reaching the useful accuracy range
         prev_gap = gap
 

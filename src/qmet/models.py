@@ -237,19 +237,6 @@ def eval_generic(model, p):
     return ModelEvaluation(q=q, u=u)
 
 
-def _expect(psi, op):
-    return float(np.real(np.vdot(psi, op @ psi)))
-
-
-def _variance(psi, op):
-    return _expect(psi, op @ op) - _expect(psi, op) ** 2
-
-
-def _covariance(psi, a, b):
-    """<{A, B}> - 2 <A><B> in the given state."""
-    return _expect(psi, a @ b + b @ a) - 2.0 * _expect(psi, a) * _expect(psi, b)
-
-
 def eval_qubit2(B, theta, t, bloch):
     """Closed-form Q and U of the two-parameter qubit model.
 
@@ -278,7 +265,10 @@ def eval_qubit2(B, theta, t, bloch):
 
 
 def eval_qutrit2(B, theta, t, probe):
-    """Q and U of the two-parameter qutrit model from spin-1 expectations.
+    """Q and U of the two-parameter qutrit model.
+
+    Both come from :func:`qutrit2_model`'s analytic state derivatives and
+    equal the closed forms
 
     Q_BB = 4 t^2 Var(J_ntheta),
     Q_tt = 16 sin^2(Bt/2) Var(J_n1),
@@ -286,23 +276,7 @@ def eval_qutrit2(B, theta, t, probe):
     U_Bt = -4 t sin(Bt/2) <J_n2>,
     all expectations taken in the probe state.
     """
-    psi = normalize_state(probe, 3)
-    n_theta, n_1, n_2 = geometry_vectors(B, theta, t)
-    jx, jy, jz = spin_one_operators()
-    j = np.stack([jx, jy, jz])
-    j_th = np.tensordot(n_theta, j, axes=1)
-    j_1 = np.tensordot(n_1, j, axes=1)
-    j_2 = np.tensordot(n_2, j, axes=1)
-    s = np.sin(B * t / 2.0)
-    q = np.array(
-        [
-            [4.0 * t**2 * _variance(psi, j_th), -4.0 * t * s * _covariance(psi, j_1, j_th)],
-            [-4.0 * t * s * _covariance(psi, j_1, j_th), 16.0 * s**2 * _variance(psi, j_1)],
-        ]
-    )
-    d = 4.0 * t * s * _expect(psi, j_2)
-    u = np.array([[0.0, -d], [d, 0.0]])
-    return ModelEvaluation(q=q, u=u)
+    return eval_generic(qutrit2_model(probe, t), [B, theta])
 
 
 def eval_qutrit3(B, theta, phi, t, probe):

@@ -187,6 +187,45 @@ def newton_system_by_einsum(gk, y, ginv):
     return 0.5 * (mm + mm.T), tr_gk_ginv
 
 
+def _spin1_moments(psi, *directions):
+    """<J_n> and the symmetrized covariance 1/2 <{J_a, J_b}> - <J_a><J_b> of spin-1 J_n."""
+    from qmet.models import spin_one_operators
+
+    j = np.stack(spin_one_operators())
+    ops = [np.tensordot(n, j, axes=1) for n in directions]
+    mean = np.array([np.real(np.vdot(psi, a @ psi)) for a in ops])
+    second = np.array([[np.real(np.vdot(psi, (a @ b + b @ a) @ psi)) for b in ops] for a in ops])
+    return mean, 0.5 * second - np.outer(mean, mean)
+
+
+def qutrit2_closed_qu(B, theta, t, psi):
+    """The paper's closed-form two-parameter qutrit (Q, U) from spin-1 expectations."""
+    from qmet.models import geometry_vectors
+
+    mean, cov = _spin1_moments(psi, *geometry_vectors(B, theta, t))
+    s = np.sin(B * t / 2.0)
+    q_bt = -8.0 * t * s * cov[1, 0]
+    q = np.array([[4.0 * t**2 * cov[0, 0], q_bt], [q_bt, 16.0 * s**2 * cov[1, 1]]])
+    u_bt = -4.0 * t * s * mean[2]
+    return q, np.array([[0.0, u_bt], [-u_bt, 0.0]])
+
+
+def qutrit3_closed_q(B, theta, phi, t, psi):
+    """The paper's closed-form three-parameter qutrit QFIM from spin-1 expectations."""
+    from qmet.models import geometry_vectors3
+
+    _, cov = _spin1_moments(psi, *geometry_vectors3(B, theta, phi, t))
+    s, ct = np.sin(B * t / 2.0), np.cos(theta)
+    q = np.empty((3, 3))
+    q[0, 0] = 4.0 * t**2 * cov[0, 0]
+    q[1, 1] = 16.0 * s**2 * cov[1, 1]
+    q[2, 2] = 16.0 * s**2 * ct**2 * cov[2, 2]
+    q[0, 1] = q[1, 0] = -8.0 * t * s * cov[1, 0]
+    q[0, 2] = q[2, 0] = -8.0 * t * s * ct * cov[2, 0]
+    q[1, 2] = q[2, 1] = 16.0 * s**2 * ct * cov[1, 2]
+    return q
+
+
 def qfim_muc_by_loop(psi, dpsi):
     """(Q, U) from one vdot per pair: 4 Re/Im of <d_u|d_v> - <d_u|psi><psi|d_v>."""
     n = len(dpsi)

@@ -15,6 +15,7 @@ from qmet.models import (
     qubit2_model,
     qutrit2_model,
     qutrit3_model,
+    spin_one_operators,
 )
 
 from helpers import direct_holevo_min, newton_system_by_einsum, qubit_instance
@@ -127,6 +128,21 @@ class TestAgainstDirectMinimization:
             assert abs(sol.value - oracle) / oracle <= 1e-6
             checked += 1
 
+    def test_rank_deficient_mixed_qutrit(self):
+        # singular rho (rank 2 < d = 3): the Gram factor R has d r = 6 rows
+        rng = np.random.default_rng(9)
+        j = np.stack(spin_one_operators())
+        for _ in range(2):
+            a = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+            v, _ = np.linalg.qr(a)
+            rho = v @ np.diag([0.7, 0.3]) @ v.conj().T
+            hams = [np.tensordot(rng.standard_normal(3), j, axes=1) for _ in range(2)]
+            drho = [-1j * (h @ rho - rho @ h) for h in hams]
+            sol = holevo_bound(rho, drho)
+            assert sol.status == "converged"
+            oracle = direct_holevo_min(rho, drho)
+            assert abs(sol.value - oracle) / oracle <= 1e-6
+
     def test_three_parameter_qutrit(self):
         rng = np.random.default_rng(8)
         for _ in range(2):
@@ -153,30 +169,39 @@ def _mixed_qubit_problem():
     return rho, [0.5 * np.tensordot(d, np.stack(PAULI), axes=1) for d in (d1, d2)]
 
 
+_NEWTON_PROBLEMS = pytest.mark.parametrize(
+    "problem",
+    [
+        lambda: qubit_problem(0.2, 0.3, 1.7, 1.1)[:2],
+        lambda: _haar_qutrit3_problem(11),
+        _mixed_qubit_problem,
+    ],
+    ids=["pure-qubit", "qutrit3-haar", "mixed-qubit"],
+)
+
+
+def _newton_builds(monkeypatch, problem):
+    """Solve ``problem`` and return (gflat, y, ginv, (M, tr[G_k G^-1])) of every Newton build."""
+    seen = []
+    build = holevo._newton_system
+
+    def spy(gflat, y, ginv):
+        out = build(gflat, y, ginv)
+        seen.append((gflat, y, ginv, out))
+        return out
+
+    monkeypatch.setattr(holevo, "_newton_system", spy)
+    rho, drho = problem()
+    assert holevo.holevo_bound(rho, drho).status == "converged"
+    return seen
+
+
 class TestNewtonSystem:
     """The GEMM Newton build against the per-trace einsum reference, at every iterate."""
 
-    @pytest.mark.parametrize(
-        "problem",
-        [
-            lambda: qubit_problem(0.2, 0.3, 1.7, 1.1)[:2],
-            lambda: _haar_qutrit3_problem(11),
-            _mixed_qubit_problem,
-        ],
-        ids=["pure-qubit", "qutrit3-haar", "mixed-qubit"],
-    )
+    @_NEWTON_PROBLEMS
     def test_matches_einsum_reference(self, monkeypatch, problem):
-        seen = []
-        build = holevo._newton_system
-
-        def spy(gflat, y, ginv):
-            out = build(gflat, y, ginv)
-            seen.append((gflat, y, ginv, out))
-            return out
-
-        monkeypatch.setattr(holevo, "_newton_system", spy)
-        rho, drho = problem()
-        assert holevo.holevo_bound(rho, drho).status == "converged"
+        seen = _newton_builds(monkeypatch, problem)
         assert len(seen) >= 5
         for gflat, y, ginv, (mm, tr_gk_ginv) in seen:
             m = y.shape[0]
@@ -187,6 +212,27 @@ class TestNewtonSystem:
             np.testing.assert_allclose(
                 tr_gk_ginv, ref_tr, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref_tr))
             )
+
+    @_NEWTON_PROBLEMS
+    def test_full_rank_at_first_iterate(self, monkeypatch, problem, request):
+        # only the null-space directions the Gram factor sees are variables,
+        # so the Newton matrix is nonsingular without the ridge
+        mm = _newton_builds(monkeypatch, problem)[0][3][0]
+        assert np.linalg.matrix_rank(mm) == mm.shape[0]
+        if "qutrit3" in request.node.callspec.id:
+            assert mm.shape[0] == 9  # 6 entries of V and one direction per parameter
+
+    def test_one_factorization_per_matrix_per_iterate(self, monkeypatch):
+        calls = []
+        dpotrf = holevo.lapack.dpotrf
+
+        def counted(a, **kwargs):
+            calls.append(a.shape)
+            return dpotrf(a, **kwargs)
+
+        monkeypatch.setattr(holevo.lapack, "dpotrf", counted)
+        builds = _newton_builds(monkeypatch, lambda: _haar_qutrit3_problem(11))
+        assert len(calls) == 2 * len(builds)  # G and Y, once each per Newton step
 
 
 class TestSolverContracts:
@@ -230,6 +276,11 @@ class TestSolverContracts:
             holevo_bound(2.0 * rho, drho)
         with pytest.raises(ValueError):
             holevo_bound(rho, [drho[0], np.eye(2, dtype=complex)])
+
+    def test_empty_drho(self):
+        rho, _, _ = qubit_problem(0.0, 0.0, np.pi, 1.0)
+        with pytest.raises(ValueError, match="drho"):
+            holevo_bound(rho, [])
 
     def test_sandwich_rejects_corrupted_value(self):
         rho, drho, ev = qubit_problem(0.0, 0.0, np.pi, 1.0)

@@ -16,7 +16,6 @@ from qmet.models import (
     hermitian_operator_basis,
     qfim_muc_from_derivatives,
     qubit2_model,
-    qutrit2_model,
     qutrit3_model,
     qutrit_coherence,
     spin_half_operators,
@@ -24,38 +23,17 @@ from qmet.models import (
     state_to_bloch,
 )
 
-from helpers import central_diff_state_derivatives, qfim_muc_by_loop
+from helpers import (
+    central_diff_state_derivatives,
+    qfim_muc_by_loop,
+    qutrit2_closed_qu,
+    qutrit3_closed_q,
+)
 
 
 def rand_qutrit(rng):
     z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     return z / np.linalg.norm(z)
-
-
-def qutrit3_closed_q(B, theta, phi, t, psi):
-    """The paper's closed-form three-parameter QFIM from spin-1 expectations."""
-    n_theta, n_1, n_2 = geometry_vectors3(B, theta, phi, t)
-    j = np.stack(spin_one_operators())
-    j_th, j_1, j_2 = (np.tensordot(n, j, axes=1) for n in (n_theta, n_1, n_2))
-
-    def ex(op):
-        return np.real(np.vdot(psi, op @ psi))
-
-    def var(a):
-        return ex(a @ a) - ex(a) ** 2
-
-    def cov(a, b):
-        return ex(a @ b + b @ a) - 2.0 * ex(a) * ex(b)
-
-    s, ct = np.sin(B * t / 2.0), np.cos(theta)
-    q = np.empty((3, 3))
-    q[0, 0] = 4.0 * t**2 * var(j_th)
-    q[1, 1] = 16.0 * s**2 * var(j_1)
-    q[2, 2] = 16.0 * s**2 * ct**2 * var(j_2)
-    q[0, 1] = q[1, 0] = -4.0 * t * s * cov(j_1, j_th)
-    q[0, 2] = q[2, 0] = -4.0 * t * s * ct * cov(j_2, j_th)
-    q[1, 2] = q[2, 1] = 8.0 * s**2 * ct * cov(j_1, j_2)
-    return q
 
 
 # Gamma_1..Gamma_8 over sqrt(2), then I/sqrt(3), written out entry by entry
@@ -253,15 +231,15 @@ class TestQutritModels:
             assert ev.q[1, 1] == pytest.approx(q_tt, abs=1e-10)
             assert ev.q[0, 1] == pytest.approx(q_bt, abs=1e-10)
 
-    def test_qutrit2_matches_generic(self):
+    def test_qutrit2_matches_closed_forms(self):
         rng = np.random.default_rng(12)
         for _ in range(200):
             B, th, t = rng.uniform(0.3, 3), rng.uniform(-np.pi, np.pi), rng.uniform(0.3, 3)
             psi = rand_qutrit(rng)
             ev = eval_qutrit2(B, th, t, psi)
-            g = eval_generic(qutrit2_model(psi, t), [B, th])
-            assert np.allclose(ev.q, g.q, atol=1e-10)
-            assert np.allclose(ev.u, g.u, atol=1e-10)
+            q, u = qutrit2_closed_qu(B, th, t, psi)
+            assert np.allclose(ev.q, q, rtol=0, atol=1e-10)
+            assert np.allclose(ev.u, u, rtol=0, atol=1e-10)
 
     def test_qutrit3_phi_block_vanishes_at_pole(self):
         rng = np.random.default_rng(14)
