@@ -35,7 +35,6 @@ from .bounds import (
     t2_closed,
     t3_unnormalized_value,
     threshold_csep_vs,
-    weight_matrix,
 )
 from .errors import (
     ConfigParseError,
@@ -65,6 +64,7 @@ from .linalg import (
     qfim,
     spd_inverse,
     symmetrize,
+    weight_matrix,
 )
 from .models import (
     ModelEvaluation,

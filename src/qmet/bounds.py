@@ -28,7 +28,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotApplicable, SingularQfim
-from .linalg import nuclear_norm, pivot_determinant, pivot_product, qfim, qfim_matrix
+from .linalg import (
+    nuclear_norm,
+    pivot_determinant,
+    pivot_product,
+    qfim,
+    qfim_matrix,
+    weight_matrix,
+)
 from .stepwise import csep_ordered
 
 COMPARE_RTOL = 1e-9
@@ -83,26 +90,6 @@ class ThresholdVerdict:
     @property
     def consistent(self):
         return self.predicate_holds == self.direct_comparison
-
-
-def weight_matrix(w, n):
-    """Normalize a weight spec (None, diagonal vector, or full matrix) to n x n."""
-    if w is None:
-        return np.eye(n)
-    w = np.asarray(w, dtype=float)
-    if not np.isfinite(w).all():
-        raise ValueError("weights must be finite")
-    if w.ndim == 1:
-        if w.shape != (n,):
-            raise ValueError(f"expected {n} diagonal weights, got {w.shape}")
-        if not (w > 0).all():
-            raise ValueError("weights must be positive")
-        return np.diag(w)
-    if w.shape != (n, n):
-        raise ValueError(f"weight matrix shape {w.shape} does not match n = {n}")
-    if np.any(np.linalg.eigvalsh(0.5 * (w + w.T)) <= 0):
-        raise ValueError("weight matrix must be positive definite")
-    return 0.5 * (w + w.T)
 
 
 def c_sld(q, w=None):

@@ -6,13 +6,8 @@ m = 0 eigenvector of J_n2; no search), and the qubit inequality sweep.
 Every sampled study consumes a single seeded random stream so results are
 reproducible bit for bit; the CSV writers print floats with 17 significant
 digits and embed the effective configuration as leading comment lines.
-Row computations are independent; setting the environment variable
-QMET_THREADS above 1 maps them over a thread pool without changing any
-output (the sample stream is drawn up front, and rows stay ordered).
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +30,7 @@ from .stepwise import best_order_dp, csep_ordered
 DEFAULT_SCATTER_PARAMS = (1.0, np.pi / 7.0, np.pi / 5.0, 1.0)
 PROBE_RESIDUAL_U_TOL = 1e-6
 PROBE_QFIM_TOL = 1e-4
+QUBIT_DET_FLOOR = 1e-3  # qubit-sweep draws with det Q below this are redrawn
 _FLOAT_FMT = "%.17g"
 
 
@@ -43,14 +39,6 @@ def haar_pure_state(d, rng):
     x = rng.standard_normal(2 * d)
     z = x[0::2] + 1j * x[1::2]
     return z / np.linalg.norm(z)
-
-
-def _pmap(fn, items):
-    workers = int(os.environ.get("QMET_THREADS", "1") or "1")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
 
 
 def _fmt(x):
@@ -164,7 +152,7 @@ def run_scatter_study(params=DEFAULT_SCATTER_PARAMS, n_states=1000, seed=0,
         for probe in drawn:
             jobs.append((index, pset, probe))
             index += 1
-    rows = _pmap(lambda job: scatter_row(*job), jobs)
+    rows = [scatter_row(*job) for job in jobs]
     ok = [r for r in rows if r.flag == "ok"]
     summary = {
         "n_rows": len(rows),
@@ -226,11 +214,11 @@ def qubit_sweep_row(alpha, beta, b, t):
     }
 
 
-def run_qubit_sweep(n_samples=1000, seed=0, det_floor=1e-3):
+def run_qubit_sweep(n_samples=1000, seed=0):
     """Certify the pure-qubit inequalities over random (alpha, beta, B, t).
 
     (alpha, beta) is uniform on the unit disk, B and t uniform in
-    [0.3, 3.0]; draws whose QFIM determinant falls below ``det_floor`` are
+    [0.3, 3.0]; draws whose QFIM determinant falls below QUBIT_DET_FLOOR are
     rejected so every row is safely invertible.  Returns (rows, summary)
     with the count of rows violating min-order C_sep <= C_H beyond 1e-9
     and the margin statistics.
@@ -244,9 +232,9 @@ def run_qubit_sweep(n_samples=1000, seed=0, det_floor=1e-3):
         b = rng.uniform(0.3, 3.0)
         t = rng.uniform(0.3, 3.0)
         det_q = 4.0 * t**2 * np.sin(b * t / 2.0) ** 2 * (1.0 - alpha**2 - beta**2)
-        if det_q >= det_floor:
+        if det_q >= QUBIT_DET_FLOOR:
             samples.append((alpha, beta, b, t))
-    rows = _pmap(lambda s: qubit_sweep_row(*s), samples)
+    rows = [qubit_sweep_row(*s) for s in samples]
     margins = np.array([min(r["c_sep_12"], r["c_sep_21"]) - r["c_h"] for r in rows])
     r_errors = np.array([abs(r["R"] - 1.0) for r in rows])
     summary = {

@@ -39,9 +39,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
-from .bounds import c_sld, c_t, weight_matrix
+from .bounds import c_sld, c_t
 from .errors import Infeasible
-from .linalg import qfim, symmetrize
+from .linalg import qfim, symmetrize, weight_matrix
 from .models import hermitian_operator_basis
 
 SDP_TOL = 1e-6

@@ -1,8 +1,8 @@
 """Pure-state parametric models and their information matrices.
 
-A model maps a real parameter vector to a normalized state vector.  From
-the state and its derivatives one Gram product builds the two matrices
-every bound in this package consumes:
+A model is one function mapping a real parameter vector to a normalized
+state vector and its analytic parameter derivatives.  From these one Gram
+product builds the two matrices every bound in this package consumes:
 
 * the quantum Fisher information matrix
   ``Q_uv = 4 Re(<d_u psi|d_v psi> - <d_u psi|psi><psi|d_v psi>)``,
@@ -26,12 +26,10 @@ package's one pivot rule.  :func:`hermitian_operator_basis` is the
 generalized Gell-Mann basis used by the Holevo SDP.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-
-DEFAULT_STEP = 1e-5
 
 # spin-1/2 generators J_i = sigma_i / 2
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -161,53 +159,21 @@ class ModelEvaluation:
 
 @dataclass(frozen=True)
 class PureStateModel:
-    """A map from a parameter vector to a normalized pure state.
+    """A pure-state model as one function ``fn(p) -> (psi, [d_psi/d_p_k for each k])``.
 
-    ``state_fn(p) -> complex ndarray`` must return unit vectors.  When
-    ``deriv_fn`` is None, derivatives are taken by phase-aligned central
-    differences with per-coordinate step ``step * max(1, |p_k|)``: each
-    displaced state is rotated so its overlap with the central state is
-    real positive before differencing, which removes gauge contamination
-    from discontinuous phase conventions in ``state_fn``.
+    ``psi`` must be a unit vector; :meth:`derivatives` checks that and
+    returns both as complex arrays.
     """
 
-    dim: int
-    n_params: int
-    state_fn: Callable[[np.ndarray], np.ndarray]
-    deriv_fn: Callable[[np.ndarray], list] | None = None
-    step: float = DEFAULT_STEP
-
-    def state(self, p):
-        psi = np.asarray(self.state_fn(np.asarray(p, dtype=float)), dtype=complex)
-        if abs(np.linalg.norm(psi) - 1.0) > 1e-12:
-            raise ValueError("state_fn returned a non-normalized vector")
-        return psi
+    fn: Callable[[np.ndarray], tuple]
 
     def derivatives(self, p):
-        """Return (psi, [d_psi/d_p_k for each k])."""
-        p = np.asarray(p, dtype=float)
-        psi = self.state(p)
-        if self.deriv_fn is not None:
-            return psi, [np.asarray(d, dtype=complex) for d in self.deriv_fn(p)]
-
-        def aligned(q):
-            phi = self.state(q)
-            ov = np.vdot(psi, phi)
-            if abs(ov) < 1e-12:
-                return phi
-            return phi * (np.conj(ov) / abs(ov))
-
-        derivs = []
-        for k in range(self.n_params):
-            h = self.step * max(1.0, abs(p[k]))
-            e = np.zeros_like(p)
-            e[k] = h
-            derivs.append((aligned(p + e) - aligned(p - e)) / (2.0 * h))
-        return psi, derivs
-
-    def numeric(self):
-        """Copy of this model that differentiates by central differences."""
-        return replace(self, deriv_fn=None)
+        """Return (psi, [d_psi/d_p_k for each k]); ValueError if psi is not normalized."""
+        psi, dpsi = self.fn(np.asarray(p, dtype=float))
+        psi = np.asarray(psi, dtype=complex)
+        if abs(np.linalg.norm(psi) - 1.0) > 1e-12:
+            raise ValueError("model returned a non-normalized state")
+        return psi, [np.asarray(d, dtype=complex) for d in dpsi]
 
 
 def qfim_muc_from_derivatives(psi, dpsi):
@@ -293,117 +259,78 @@ def eval_qutrit3(B, theta, phi, t, probe):
     return eval_generic(qutrit3_model(probe, t), [B, theta, phi])
 
 
-def _qubit_unitary(n, angle):
-    sigma_n = np.tensordot(n, np.stack([_SX, _SY, _SZ]), axes=1)
-    return np.cos(angle / 2.0) * np.eye(2) - 1j * np.sin(angle / 2.0) * sigma_n
-
-
-def _spin1_unitary(jn, angle):
-    # exp(-i a J_n) for spin 1, where J_n^3 = J_n
-    return (
-        np.eye(3, dtype=complex)
-        - 1j * np.sin(angle) * jn
-        + (np.cos(angle) - 1.0) * (jn @ jn)
-    )
-
-
 def qubit2_model(bloch, t):
     """Two-parameter qubit model psi(B, theta) = exp(-i H t) psi0 with analytic derivatives."""
     psi0 = bloch_to_state(bloch)
     sig = np.stack([_SX, _SY, _SZ])
 
-    def n_of(theta):
-        return np.array([np.cos(theta), 0.0, np.sin(theta)])
-
-    def state_fn(p):
-        B, theta = p
-        return _qubit_unitary(n_of(theta), B * t) @ psi0
-
-    def deriv_fn(p):
+    def fn(p):
         B, theta = p
         a = B * t
-        n = n_of(theta)
-        dn = np.array([-np.sin(theta), 0.0, np.cos(theta)])
+        c, s = np.cos(a / 2.0), np.sin(a / 2.0)
+        ct, st = np.cos(theta), np.sin(theta)
+        n = np.array([ct, 0.0, st])
+        dn = np.array([-st, 0.0, ct])
         sig_n = np.tensordot(n, sig, axes=1)
         sig_dn = np.tensordot(dn, sig, axes=1)
-        du_dB = t * (
-            -0.5 * np.sin(a / 2.0) * np.eye(2) - 0.5j * np.cos(a / 2.0) * sig_n
-        )
-        du_dth = -1j * np.sin(a / 2.0) * sig_dn
-        return [du_dB @ psi0, du_dth @ psi0]
+        u = c * np.eye(2) - 1j * s * sig_n
+        du_dB = t * (-0.5 * s * np.eye(2) - 0.5j * c * sig_n)
+        du_dth = -1j * s * sig_dn
+        return u @ psi0, [du_dB @ psi0, du_dth @ psi0]
 
-    return PureStateModel(dim=2, n_params=2, state_fn=state_fn, deriv_fn=deriv_fn)
+    return PureStateModel(fn)
 
 
-def _spin1_model(psi0, t, n_of, dn_of, param_count):
-    """Shared builder for the qutrit models: analytic d(exp(-i a J_n)) via J_n^3 = J_n."""
-    jx, jy, jz = spin_one_operators()
-    j = np.stack([jx, jy, jz])
+def _spin1_model(psi0, t, directions):
+    """Qutrit model psi(p) = exp(-i p_0 t J_n) psi0 with analytic derivatives.
 
-    def state_fn(p):
-        a = p[0] * t
-        jn = np.tensordot(n_of(p), j, axes=1)
-        return _spin1_unitary(jn, a) @ psi0
+    ``directions(p)`` returns the unit field direction n and its derivatives
+    with respect to p_1, p_2, ...  Since J_n^3 = J_n for spin 1,
+    exp(-i a J_n) = I - i sin(a) J_n + (cos(a) - 1) J_n^2.
+    """
+    j = np.stack(spin_one_operators())
 
-    def deriv_fn(p):
+    def fn(p):
         a = p[0] * t
         sin_a, cos_a = np.sin(a), np.cos(a)
-        jn = np.tensordot(n_of(p), j, axes=1)
-        du_dB = t * (-1j * cos_a * jn - sin_a * (jn @ jn))
+        n, dns = directions(p)
+        jn = np.tensordot(n, j, axes=1)
+        jn2 = jn @ jn
+        u = np.eye(3, dtype=complex) - 1j * sin_a * jn + (cos_a - 1.0) * jn2
+        du_dB = t * (-1j * cos_a * jn - sin_a * jn2)
         derivs = [du_dB @ psi0]
-        for dn in dn_of(p):
+        for dn in dns:
             jdn = np.tensordot(dn, j, axes=1)
             du = -1j * sin_a * jdn + (cos_a - 1.0) * (jdn @ jn + jn @ jdn)
             derivs.append(du @ psi0)
-        return derivs
+        return u @ psi0, derivs
 
-    return PureStateModel(
-        dim=3, n_params=param_count, state_fn=state_fn, deriv_fn=deriv_fn
-    )
+    return PureStateModel(fn)
 
 
 def qutrit2_model(probe, t):
-    """Two-parameter qutrit model with analytic derivatives."""
-    psi0 = normalize_state(probe, 3)
+    """Two-parameter qutrit model (B, theta) with analytic derivatives."""
 
-    def n_of(p):
-        return np.array([np.cos(p[1]), 0.0, np.sin(p[1])])
+    def directions(p):
+        ct, st = np.cos(p[1]), np.sin(p[1])
+        return np.array([ct, 0.0, st]), [np.array([-st, 0.0, ct])]
 
-    def dn_of(p):
-        return [np.array([-np.sin(p[1]), 0.0, np.cos(p[1])])]
-
-    return _spin1_model(psi0, t, n_of, dn_of, 2)
+    return _spin1_model(normalize_state(probe, 3), t, directions)
 
 
 def qutrit3_model(probe, t):
     """Three-parameter qutrit model (B, theta, phi) with analytic derivatives."""
-    psi0 = normalize_state(probe, 3)
 
-    def n_of(p):
+    def directions(p):
         _, theta, phi = p
-        return np.array(
-            [
-                np.cos(theta) * np.cos(phi),
-                np.cos(theta) * np.sin(phi),
-                np.sin(theta),
-            ]
-        )
+        ct, st = np.cos(theta), np.sin(theta)
+        cp, sp = np.cos(phi), np.sin(phi)
+        n = np.array([ct * cp, ct * sp, st])
+        d_theta = np.array([-st * cp, -st * sp, ct])
+        d_phi = np.array([-ct * sp, ct * cp, 0.0])
+        return n, [d_theta, d_phi]
 
-    def dn_of(p):
-        _, theta, phi = p
-        d_theta = np.array(
-            [
-                -np.sin(theta) * np.cos(phi),
-                -np.sin(theta) * np.sin(phi),
-                np.cos(theta),
-            ]
-        )
-        d_phi = np.array(
-            [-np.cos(theta) * np.sin(phi), np.cos(theta) * np.cos(phi), 0.0]
-        )
-        return [d_theta, d_phi]
-
-    return _spin1_model(psi0, t, n_of, dn_of, 3)
+    return _spin1_model(normalize_state(probe, 3), t, directions)
 
 
 def density_and_derivatives(model, p):

@@ -30,7 +30,14 @@ from itertools import permutations
 import numpy as np
 
 from .errors import NotPositiveDefinite, SingularQfim, TooManyParameters
-from .linalg import _cholesky, pivot_determinant, pivot_tol, qfim, qfim_matrix
+from .linalg import (
+    _cholesky,
+    pivot_determinant,
+    pivot_tol,
+    qfim,
+    qfim_matrix,
+    weight_matrix,
+)
 
 BRUTE_FORCE_MAX = 8
 DP_MAX = 20
@@ -88,18 +95,12 @@ def _validate_ordering(order, n):
 
 
 def _weight_diag(w, n):
+    """Diagonal of :func:`linalg.weight_matrix`, which must be diagonal here."""
     if w is None:
         return np.ones(n)
-    w = np.asarray(w, dtype=float)
-    if w.ndim == 2:
-        if not np.allclose(w, np.diag(np.diag(w))):
-            raise ValueError("stepwise weights must be diagonal")
-        w = np.diag(w)
-    if w.shape != (n,):
-        raise ValueError(f"expected {n} weights, got shape {w.shape}")
-    if not ((w > 0) & (w < np.inf)).all():  # NaN compares False
-        raise ValueError("weights must be positive and finite")
-    return w
+    if np.ndim(w) == 2 and not np.allclose(w, np.diag(np.diag(w))):
+        raise ValueError("stepwise weights must be diagonal")
+    return np.diag(weight_matrix(w, n))
 
 
 def _step_terms(q, idx):

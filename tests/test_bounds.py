@@ -335,7 +335,8 @@ class TestReport:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_weights_rejected(self, bad):
         q = np.array([[2.0, 0.3], [0.3, 1.0]])
-        for w in (np.array([bad, 1.0]), np.diag([1.0, bad])):
+        # a zero on the diagonal of a 2-D weight fails the one shared validator
+        for w in (np.array([bad, 1.0]), np.diag([1.0, bad]), np.diag([1.0, 0.0])):
             calls = [
                 lambda: weight_matrix(w, 2),
                 lambda: c_sld(q, w),

@@ -192,12 +192,6 @@ class TestScatter:
             out.append(path.read_bytes())
         assert out[0] == out[1]
 
-    def test_threaded_matches_serial(self, monkeypatch):
-        rows_serial, _ = run_scatter_study(n_states=6, seed=2)
-        monkeypatch.setenv("QMET_THREADS", "4")
-        rows_threaded, _ = run_scatter_study(n_states=6, seed=2)
-        assert scatter_rows_to_csv(rows_serial) == scatter_rows_to_csv(rows_threaded)
-
 
 class TestProbeOptimization:
     def test_reference_point(self):

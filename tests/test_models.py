@@ -16,6 +16,7 @@ from qmet.models import (
     hermitian_operator_basis,
     qfim_muc_from_derivatives,
     qubit2_model,
+    qutrit2_model,
     qutrit3_model,
     qutrit_coherence,
     spin_half_operators,
@@ -34,6 +35,15 @@ from helpers import (
 def rand_qutrit(rng):
     z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     return z / np.linalg.norm(z)
+
+
+def state_map(model):
+    return lambda p: model.derivatives(p)[0]
+
+
+def central_diff_qu(state_fn, p):
+    """(Q, U) from the test oracle's phase-aligned central differences."""
+    return qfim_muc_from_derivatives(*central_diff_state_derivatives(state_fn, p))
 
 
 # Gamma_1..Gamma_8 over sqrt(2), then I/sqrt(3), written out entry by entry
@@ -161,9 +171,9 @@ class TestQubitModel:
             r = rng.standard_normal(3)
             r /= np.linalg.norm(r)
             ev = eval_qubit2(B, th, t, r)
-            g = eval_generic(qubit2_model(r, t).numeric(), [B, th])
-            assert np.allclose(ev.q, g.q, atol=1e-6)
-            assert np.allclose(ev.u, g.u, atol=1e-6)
+            q, u = central_diff_qu(state_map(qubit2_model(r, t)), [B, th])
+            assert np.allclose(ev.q, q, atol=1e-6)
+            assert np.allclose(ev.u, u, atol=1e-6)
 
     def test_pure_qubit_determinant_identity(self):
         rng = np.random.default_rng(6)
@@ -260,11 +270,11 @@ class TestQutritModels:
         for _ in range(20):
             psi = rand_qutrit(rng)
             ev = eval_qutrit3(1.0, np.pi / 7.0, np.pi / 5.0, 1.0, psi)
-            g = eval_generic(
-                qutrit3_model(psi, 1.0).numeric(), [1.0, np.pi / 7.0, np.pi / 5.0]
+            q, u = central_diff_qu(
+                state_map(qutrit3_model(psi, 1.0)), [1.0, np.pi / 7.0, np.pi / 5.0]
             )
-            assert np.allclose(ev.q, g.q, atol=1e-6)
-            assert np.allclose(ev.u, g.u, atol=1e-6)
+            assert np.allclose(ev.q, q, atol=1e-6)
+            assert np.allclose(ev.u, u, atol=1e-6)
 
     def test_qutrit3_matches_closed_forms(self):
         rng = np.random.default_rng(21)
@@ -282,20 +292,28 @@ class TestQutritModels:
             qfim(ev.q)
 
 
+def constant_model():
+    psi = np.array([1.0, 0.0], dtype=complex)
+    return PureStateModel(lambda p: (psi, [np.zeros(2), np.zeros(2)]))
+
+
 class TestGenericEvaluator:
     def test_constant_model_gives_zero(self):
-        psi = np.array([1.0, 0.0], dtype=complex)
-        model = PureStateModel(dim=2, n_params=2, state_fn=lambda p: psi)
-        ev = eval_generic(model, [0.5, 0.5])
+        ev = eval_generic(constant_model(), [0.5, 0.5])
         assert np.allclose(ev.q, 0.0, atol=1e-8)
         assert np.allclose(ev.u, 0.0, atol=1e-8)
 
     def test_constant_model_degenerate_flag(self):
-        psi = np.array([1.0, 0.0], dtype=complex)
-        model = PureStateModel(dim=2, n_params=2, state_fn=lambda p: psi)
-        ev = eval_generic(model, [0.5, 0.5])
+        ev = eval_generic(constant_model(), [0.5, 0.5])
         with pytest.raises(SingularQfim):
             qfim(ev.q)
+
+    @pytest.mark.parametrize("scale", [0.5, 1.0 + 1e-9, 2.0])
+    def test_non_normalized_state_rejected(self, scale):
+        psi = np.array([scale, 0.0], dtype=complex)
+        model = PureStateModel(lambda p: (psi, [np.zeros(2)]))
+        with pytest.raises(ValueError, match="non-normalized"):
+            model.derivatives([0.5])
 
     def test_gram_product_matches_loop(self):
         rng = np.random.default_rng(22)
@@ -316,26 +334,32 @@ class TestGenericEvaluator:
             r = rng.standard_normal(3)
             r /= np.linalg.norm(r)
             t = rng.uniform(0.5, 2.0)
-            base = qubit2_model(r, t).numeric()
-            gauged = PureStateModel(
-                dim=2,
-                n_params=2,
-                state_fn=lambda p, f=base.state_fn: np.exp(1j * p[0] ** 2) * f(p),
-            )
-            p = [rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0)]
-            ev0 = eval_generic(base, p)
-            ev1 = eval_generic(gauged, p)
-            assert np.allclose(ev0.q, ev1.q, atol=1e-6)
-            assert np.allclose(ev0.u, ev1.u, atol=1e-6)
+            base = qubit2_model(r, t)
 
-    def test_agrees_with_external_difference_oracle(self):
+            def gauged(p, f=state_map(base)):
+                return np.exp(1j * p[0] ** 2) * f(p)
+
+            p = [rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0)]
+            q0, u0 = central_diff_qu(state_map(base), p)
+            q1, u1 = central_diff_qu(gauged, p)
+            assert np.allclose(q0, q1, atol=1e-6)
+            assert np.allclose(u0, u1, atol=1e-6)
+
+    @pytest.mark.parametrize(
+        "build, p",
+        [
+            (lambda rng: qubit2_model(rng.standard_normal(3), 1.0), [1.2, 0.4]),
+            (lambda rng: qutrit2_model(rand_qutrit(rng), 1.0), [1.2, 0.4]),
+            (lambda rng: qutrit3_model(rand_qutrit(rng), 1.0), [1.2, 0.4, 1.1]),
+        ],
+        ids=["qubit2", "qutrit2", "qutrit3"],
+    )
+    def test_agrees_with_external_difference_oracle(self, build, p):
         # derivatives agree up to the gauge component along psi
-        rng = np.random.default_rng(19)
-        psi = rand_qutrit(rng)
-        model = qutrit3_model(psi, 1.0)
-        p = np.array([1.2, 0.4, 1.1])
+        model = build(np.random.default_rng(19))
+        p = np.array(p)
         psi_a, dpsi_a = model.derivatives(p)
-        psi_o, dpsi_o = central_diff_state_derivatives(model.state_fn, p)
+        psi_o, dpsi_o = central_diff_state_derivatives(state_map(model), p)
         assert np.allclose(psi_a, psi_o)
         for da, do in zip(dpsi_a, dpsi_o):
             da_perp = da - psi_a * np.vdot(psi_a, da)
