@@ -55,7 +55,7 @@ from .experiments import (
     run_qubit_sweep,
     run_scatter_study,
 )
-from .holevo import HolevoSolution, UnbiasedFamily, holevo_bound, verify_sandwich, z_matrix
+from .holevo import HolevoSolution, holevo_bound, verify_sandwich, z_matrix
 from .linalg import (
     Qfim,
     cholesky,
@@ -64,7 +64,7 @@ from .linalg import (
     qfim,
     spd_inverse,
     symmetrize,
-    weight_matrix,
+    weights,
 )
 from .models import (
     ModelEvaluation,
@@ -115,7 +115,6 @@ __all__ = [
     "StepwiseResult",
     "ThresholdVerdict",
     "TooManyParameters",
-    "UnbiasedFamily",
     "UnknownKeyError",
     "best_order_bruteforce",
     "best_order_dp",
@@ -159,7 +158,7 @@ __all__ = [
     "t3_unnormalized_value",
     "threshold_csep_vs",
     "verify_sandwich",
-    "weight_matrix",
+    "weights",
     "z_matrix",
     "__version__",
 ]

@@ -1,5 +1,9 @@
 """Scalar precision bounds built from (Q, U) and a weight matrix W.
 
+W = diag(w) for the positive weight vector w of :func:`linalg.weights`
+(ones when omitted), the one weight under which every bound here and the
+stepwise bound are defined.
+
 All bounds are per probe: callers divide by the number of repetitions
 themselves.  The chain
 
@@ -34,7 +38,7 @@ from .linalg import (
     pivot_product,
     qfim,
     qfim_matrix,
-    weight_matrix,
+    weights,
 )
 from .stepwise import csep_ordered
 
@@ -44,7 +48,7 @@ PURE_QUBIT_RTOL = 1e-8
 
 @dataclass(frozen=True)
 class BoundReport:
-    """All scalar bounds of one model evaluation under one weight matrix."""
+    """All scalar bounds of one model evaluation under one weight vector."""
 
     c_s: float
     c_t: float
@@ -53,7 +57,6 @@ class BoundReport:
     sloppiness: float
     quantumness_r: float
     quantumness_t: float
-    weight: np.ndarray
     t3_unnormalized: float | None = None
 
     def to_json(self):
@@ -93,9 +96,9 @@ class ThresholdVerdict:
 
 
 def c_sld(q, w=None):
-    """SLD quantum Cramer-Rao bound Tr[W Q^-1]."""
+    """SLD quantum Cramer-Rao bound Tr[W Q^-1] = sum_j w_j [Q^-1]_jj."""
     qf = qfim(q)
-    return float(np.trace(weight_matrix(w, qf.n) @ qf.inverse))
+    return float(np.sum(weights(w, qf.n) * qf.inverse.diagonal()))
 
 
 def quantumness_R(q, u):
@@ -110,20 +113,13 @@ def quantumness_R(q, u):
     return float(np.max(np.abs(np.linalg.eigvalsh(k))))
 
 
-def _t_and_c_s(qf, u, wm):
-    """T(W) and C_S = Tr[W Q^-1] of a Qfim, from its one inverse and one weight matrix."""
-    qinv = qf.inverse
-    evals, evecs = np.linalg.eigh(wm)
-    sqrt_w = evecs @ np.diag(np.sqrt(evals)) @ evecs.T
-    inner = sqrt_w @ qinv @ np.asarray(u, dtype=float) @ qinv @ sqrt_w
-    c_s = float(np.trace(wm @ qinv))
-    return nuclear_norm(inner) / c_s, c_s
-
-
 def quantumness_T(q, u, w=None):
     """T(W) = ||sqrt(W) Q^-1 U Q^-1 sqrt(W)||_1 / Tr[W Q^-1]."""
     qf = qfim(q)
-    return _t_and_c_s(qf, u, weight_matrix(w, qf.n))[0]
+    s = np.sqrt(weights(w, qf.n))
+    qinv = qf.inverse
+    inner = (s[:, None] * qinv) @ np.asarray(u, dtype=float) @ qinv * s
+    return nuclear_norm(inner) / c_sld(qf, w)
 
 
 def r2_closed(q, u):
@@ -133,12 +129,13 @@ def r2_closed(q, u):
     return float(abs(u[0, 1]) / root_det_q)
 
 
-def t2_closed(q, u, omega=1.0):
-    """Two-parameter closed form 2 sqrt(omega det U) / (Q22 + omega Q11)."""
+def t2_closed(q, u, w=None):
+    """Two-parameter closed form 2 sqrt(w1 w2 det U) / (w1 Q22 + w2 Q11) of T(W)."""
     q = qfim_matrix(q)  # needs no factor
+    w = weights(w, 2)
     u = np.asarray(u, dtype=float)
     det_u = u[0, 1] ** 2
-    return float(2.0 * np.sqrt(omega * det_u) / (q[1, 1] + omega * q[0, 0]))
+    return float(2.0 * np.sqrt(w[0] * w[1] * det_u) / (w[0] * q[1, 1] + w[1] * q[0, 0]))
 
 
 def axial_vector(u):
@@ -164,21 +161,17 @@ def t3_unnormalized_value(q, u, w=None):
     diagnostic value and never used as T.
     """
     qf = qfim(q)
-    wm = weight_matrix(w, 3)
-    wd = np.diag(wm)
-    if not np.allclose(wm, np.diag(wd)):
-        raise ValueError("the printed three-parameter form needs a diagonal weight")
-    w_tilde = np.diag([wd[1] * wd[2], wd[0] * wd[2], wd[0] * wd[1]])
+    w = weights(w, 3)
+    w_tilde = np.array([w[1] * w[2], w[0] * w[2], w[0] * w[1]])
     root_det_q = pivot_product(qf.L)
     v = axial_vector(u)
-    return float(2.0 * np.sqrt(v @ qf.q @ w_tilde @ qf.q @ v) / root_det_q / root_det_q)
+    return float(2.0 * np.sqrt(v @ qf.q * w_tilde @ qf.q @ v) / root_det_q / root_det_q)
 
 
 def c_t(q, u, w=None):
     """(1 + T(W)) C_S."""
     qf = qfim(q)
-    t_val, c_s = _t_and_c_s(qf, u, weight_matrix(w, qf.n))
-    return (1.0 + t_val) * c_s
+    return (1.0 + quantumness_T(qf, u, w)) * c_sld(qf, w)
 
 
 def c_r(q, u, w=None):
@@ -215,7 +208,7 @@ def c_holevo_qubit_pure(q, w=None, u=None):
         raise NotApplicable("closed form requires a two-parameter model")
     if u is not None and not is_pure_qubit_pair(qf, u):
         raise NotApplicable("det Q = U_12^2 does not hold: not a pure qubit model")
-    wq = weight_matrix(w, 2) @ qf.inverse
+    wq = weights(w, 2)[:, None] * qf.inverse
     det_wq = float(np.linalg.det(wq))
     if det_wq < 0:
         raise SingularQfim("det[W Q^-1] < 0")
@@ -289,22 +282,20 @@ def threshold_csep_vs(target, q, u):
 def compute_report(q, u, w=None):
     """Assemble every scalar bound into a BoundReport.
 
-    The Holevo closed form is filled in only when the pure-qubit
-    certificate holds; the printed three-parameter T form is attached for
-    n = 3 with diagonal weights.
+    Each field is the value of the public function of that name (``c_sld``,
+    ``quantumness_T``, ``quantumness_R``, ...) on one shared Qfim.  The
+    Holevo closed form is filled in only when the pure-qubit certificate
+    holds; the printed three-parameter T form is attached for n = 3.
     """
     qf = qfim(q)
     u = np.asarray(u, dtype=float)
     n = qf.n
-    wm = weight_matrix(w, n)
-    t_val, c_s = _t_and_c_s(qf, u, wm)
+    c_s = c_sld(qf, w)
+    t_val = quantumness_T(qf, u, w)
     r_val = quantumness_R(qf, u)
     c_h = None
     if n == 2 and is_pure_qubit_pair(qf, u):
-        c_h = c_holevo_qubit_pure(qf, wm, u)
-    t3 = None
-    if n == 3 and np.allclose(wm, np.diag(np.diag(wm))):
-        t3 = t3_unnormalized_value(qf, u, wm)
+        c_h = c_holevo_qubit_pure(qf, w, u)
     return BoundReport(
         c_s=c_s,
         c_t=(1.0 + t_val) * c_s,
@@ -313,6 +304,5 @@ def compute_report(q, u, w=None):
         sloppiness=float(sloppiness(qf)),
         quantumness_r=r_val,
         quantumness_t=t_val,
-        weight=wm,
-        t3_unnormalized=t3,
+        t3_unnormalized=t3_unnormalized_value(qf, u, w) if n == 3 else None,
     )

@@ -21,17 +21,7 @@ from . import bounds as bounds_mod
 from . import experiments as exp_mod
 from . import holevo as holevo_mod
 from . import stepwise as stepwise_mod
-from .errors import (
-    ConfigParseError,
-    Infeasible,
-    NoConvergence,
-    NotApplicable,
-    NotPositiveDefinite,
-    QmetError,
-    SingularQfim,
-    TooManyParameters,
-    UnknownKeyError,
-)
+from .errors import ConfigParseError, QmetError, UnknownKeyError
 from .models import (
     density_and_derivatives,
     eval_qubit2,
@@ -74,16 +64,6 @@ _MODELS = {
     "qutrit3": (("B", "theta", "phi", "t"), eval_qutrit3, qutrit3_model),
 }
 _CHOICES = {"model": [*_MODELS, "matrix"], "method": ["dp", "brute"]}
-
-_COMPUTE_ERRORS = (
-    SingularQfim,
-    NotPositiveDefinite,
-    TooManyParameters,
-    NotApplicable,
-    Infeasible,
-    NoConvergence,
-)
-
 
 class ValidationError(QmetError):
     """A required or malformed field; reported with exit code 2."""
@@ -414,7 +394,7 @@ def main(argv=None):
     ) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except (SelfCheckFailed,) + _COMPUTE_ERRORS as exc:
+    except QmetError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     return 0

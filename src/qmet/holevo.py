@@ -41,7 +41,7 @@ from scipy.linalg import lapack
 
 from .bounds import c_sld, c_t
 from .errors import Infeasible
-from .linalg import qfim, symmetrize, weight_matrix
+from .linalg import qfim, symmetrize, weights
 from .models import hermitian_operator_basis
 
 SDP_TOL = 1e-6
@@ -53,18 +53,11 @@ _BOUNDARY_FRACTION = 0.98
 
 
 @dataclass(frozen=True)
-class UnbiasedFamily:
-    """Locally unbiased observables X_u, their basis, and expansion coefficients."""
-
-    operators: list
-    basis: list
-    coeffs: np.ndarray
-
-
-@dataclass(frozen=True)
 class HolevoSolution:
+    """The bound, the optimal locally unbiased observables X_u (n x d x d) and V."""
+
     value: float
-    x_opt: UnbiasedFamily
+    operators: np.ndarray
     v_opt: np.ndarray
     status: str
     gap: float
@@ -146,6 +139,7 @@ def _newton_system(gflat, y, ginv):
 def holevo_bound(rho, drho, w=None):
     """Holevo bound of a (pure or mixed) model given rho and its derivatives.
 
+    ``w`` is the weight vector of :func:`linalg.weights`, W = diag(w).
     Raises ValueError for invalid input, including an empty ``drho``, and
     Infeasible when the unbiasedness system has no solution (the model is
     not locally identifiable).  A run that exhausts the iteration budget
@@ -154,10 +148,9 @@ def holevo_bound(rho, drho, w=None):
     """
     rho, evals, evecs, drho = _validate_inputs(rho, drho)
     n = len(drho)
-    wm = weight_matrix(w, n)
-    basis = hermitian_operator_basis(rho.shape[0])
-    stacked = np.array(basis)  # nb x d x d
-    nb = len(basis)
+    w = weights(w, n)
+    stacked = np.array(hermitian_operator_basis(rho.shape[0]))  # nb x d x d
+    nb = len(stacked)
     e_ops = np.array(drho + [rho])  # d_1 rho, ..., d_n rho, rho
 
     # unbiasedness constraints E x_u = (e_u; 0), stacked over the basis: one
@@ -199,7 +192,7 @@ def holevo_bound(rho, drho, w=None):
     xi_blk[np.arange(n), :, np.arange(n), n:] = cols.conj()
     gflat = _realify(blk).reshape(p, m * m)
     cvec = np.zeros(p)
-    cvec[:nv] = (2.0 * wm - np.diag(np.diag(wm)))[upper]
+    cvec[:nv][upper[0] == upper[1]] = w  # Tr[W V] = sum_a w_a V_aa
 
     rx0 = r_fact @ x0
     g0_blk = np.zeros((mc, mc), dtype=complex)
@@ -269,7 +262,7 @@ def holevo_bound(rho, drho, w=None):
     resid = float(np.max(np.abs(traces - np.eye(n, n + 1))))
     return HolevoSolution(
         value=value,
-        x_opt=UnbiasedFamily(operators=list(operators), basis=basis, coeffs=coeffs),
+        operators=operators,
         v_opt=v_opt,
         status=status,
         gap=gap,

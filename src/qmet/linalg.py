@@ -9,7 +9,7 @@ below :func:`pivot_tol`.
 A QFIM is validated and factored once, by :func:`qfim`, into a read-only
 :class:`Qfim` that carries Q, its factor L and L^-1.  Every function of
 the package that takes a QFIM accepts either a matrix or a ``Qfim``.
-Weight specs are validated by one function, :func:`weight_matrix`.
+Weights are one positive vector w, W = diag(w), validated by :func:`weights`.
 """
 
 import math
@@ -183,24 +183,23 @@ def determinant(m) -> float:
         return float(np.linalg.det(a))
 
 
-def weight_matrix(w, n):
-    """Normalize a weight spec (None, diagonal vector, or full matrix) to n x n."""
+def weights(w, n) -> np.ndarray:
+    """The weight vector of n parameters: ones when ``w`` is None.
+
+    W = diag(w) is the only weight matrix of the package, since the
+    stepwise bound is defined for diagonal W alone.  Raises ValueError
+    unless ``w`` is a finite, positive vector of length n.
+    """
     if w is None:
-        return np.eye(n)
+        return np.ones(n)
     w = np.asarray(w, dtype=float)
+    if w.shape != (n,):
+        raise ValueError(f"weights must be a vector of length {n}, got shape {w.shape}")
     if not np.isfinite(w).all():
         raise ValueError("weights must be finite")
-    if w.ndim == 1:
-        if w.shape != (n,):
-            raise ValueError(f"expected {n} diagonal weights, got {w.shape}")
-        if not (w > 0).all():
-            raise ValueError("weights must be positive")
-        return np.diag(w)
-    if w.shape != (n, n):
-        raise ValueError(f"weight matrix shape {w.shape} does not match n = {n}")
-    if np.any(np.linalg.eigvalsh(0.5 * (w + w.T)) <= 0):
-        raise ValueError("weights must be positive definite")
-    return 0.5 * (w + w.T)
+    if not (w > 0).all():
+        raise ValueError("weights must be positive")
+    return w
 
 
 def nuclear_norm(m) -> float:

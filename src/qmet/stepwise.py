@@ -36,7 +36,7 @@ from .linalg import (
     pivot_tol,
     qfim,
     qfim_matrix,
-    weight_matrix,
+    weights,
 )
 
 BRUTE_FORCE_MAX = 8
@@ -94,15 +94,6 @@ def _validate_ordering(order, n):
     return order
 
 
-def _weight_diag(w, n):
-    """Diagonal of :func:`linalg.weight_matrix`, which must be diagonal here."""
-    if w is None:
-        return np.ones(n)
-    if np.ndim(w) == 2 and not np.allclose(w, np.diag(np.diag(w))):
-        raise ValueError("stepwise weights must be diagonal")
-    return np.diag(weight_matrix(w, n))
-
-
 def _step_terms(q, idx):
     """A_j of the 0-based ordering ``idx``, or None when the ordering is singular.
 
@@ -124,19 +115,19 @@ def csep_ordered(q, order=None, w=None):
     """Stepwise bound, optimal fractions and per-step terms for one ordering.
 
     ``order`` lists 1-based parameter labels, first estimated first
-    (default: natural order 1..n).  ``w`` holds positive per-parameter
-    weights (diagonal weight matrix); the weight of the parameter estimated
-    at step j multiplies that step's variance term.
+    (default: natural order 1..n).  ``w`` is the weight vector of
+    :func:`linalg.weights`, W = diag(w); the weight of the parameter
+    estimated at step j multiplies that step's variance term.
     """
     q = qfim_matrix(q)
     n = q.shape[0]
     order = _validate_ordering(order if order is not None else range(1, n + 1), n)
     idx = np.array(order) - 1
-    wd = None if w is None else _weight_diag(w, n)[idx]
+    wd = weights(w, n)[idx]
     a = _step_terms(q, idx)
     if a is None:
         raise SingularQfim("a Cholesky pivot of the permuted QFIM is at or below tolerance")
-    roots = np.sqrt(a if wd is None else wd * a)  # a unit weight multiplies exactly
+    roots = np.sqrt(wd * a)
     total = roots.sum()
     return StepwiseResult(
         value=float(total**2),
@@ -180,7 +171,7 @@ def best_order_bruteforce(q, w=None):
         raise TooManyParameters(
             f"brute force is guarded at n <= {BRUTE_FORCE_MAX}, got n = {n}"
         )
-    wd = _weight_diag(w, n)
+    wd = weights(w, n)
     best_order, best_value = None, np.inf
     for perm in permutations(range(1, n + 1)):
         idx = np.array(perm) - 1
@@ -213,7 +204,7 @@ def dp_tables(q, w=None):
     n = q.shape[0]
     if n > DP_MAX:
         raise TooManyParameters(f"DP is guarded at n <= {DP_MAX}, got n = {n}")
-    wd = _weight_diag(w, n)
+    wd = weights(w, n)
     tol = pivot_tol(q)
     diag = np.diag(q)
     root_w = np.sqrt(wd)

@@ -21,11 +21,17 @@ from qmet.bounds import (
     t2_closed,
     t3_unnormalized_value,
     threshold_csep_vs,
-    weight_matrix,
 )
 from qmet.errors import NotApplicable, NotPositiveDefinite, SingularQfim
-from qmet.linalg import cholesky, qfim, symmetrize
-from qmet.models import eval_qubit2, eval_qutrit2, geometry_vectors
+from qmet.holevo import holevo_bound
+from qmet.linalg import cholesky, qfim, symmetrize, weights
+from qmet.models import (
+    density_and_derivatives,
+    eval_qubit2,
+    eval_qutrit2,
+    geometry_vectors,
+    qubit2_model,
+)
 from qmet.stepwise import (
     best_order_bruteforce,
     best_order_dp,
@@ -115,7 +121,10 @@ class TestQuantumness:
             )
             omega = rng.uniform(0.2, 4.0)
             t_def = quantumness_T(q, u, np.array([1.0, omega]))
-            t_cf = t2_closed(q, u, omega)
+            t_cf = t2_closed(q, u, [1.0, omega])
+            assert abs(t_def - t_cf) <= 1e-9 * max(1.0, t_cf)
+            w = rng.uniform(0.2, 4.0, size=2)
+            t_def, t_cf = quantumness_T(q, u, w), t2_closed(q, u, w)
             assert abs(t_def - t_cf) <= 1e-9 * max(1.0, t_cf)
 
     def test_closed_forms_match_definitions_n3(self):
@@ -335,10 +344,10 @@ class TestReport:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_weights_rejected(self, bad):
         q = np.array([[2.0, 0.3], [0.3, 1.0]])
-        # a zero on the diagonal of a 2-D weight fails the one shared validator
+        # a 2-D weight, even diagonal, fails the one shared validator
         for w in (np.array([bad, 1.0]), np.diag([1.0, bad]), np.diag([1.0, 0.0])):
             calls = [
-                lambda: weight_matrix(w, 2),
+                lambda: weights(w, 2),
                 lambda: c_sld(q, w),
                 lambda: c_t(q, U_ANCHOR, w),
                 lambda: csep_ordered(q, (2, 1), w),
@@ -349,13 +358,59 @@ class TestReport:
                 with pytest.raises(ValueError, match="weights must|diagonal"):
                     call()
 
-    def test_weight_matrix_validation(self):
-        assert np.allclose(weight_matrix(None, 2), np.eye(2))
-        assert np.allclose(weight_matrix([1.0, 2.0], 2), np.diag([1.0, 2.0]))
+    def test_weights_validation(self):
+        assert np.array_equal(weights(None, 2), np.ones(2))
+        assert np.array_equal(weights([1.0, 2.0], 2), np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
-            weight_matrix([1.0, -2.0], 2)
+            weights([1.0, -2.0], 2)
         with pytest.raises(ValueError):
-            weight_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]), 2)
+            weights(np.array([[1.0, 2.0], [2.0, 1.0]]), 2)
+
+    @pytest.mark.parametrize(
+        "w",
+        [np.array([[1.0, 0.5], [-0.5, 1.0]]), np.diag([1.0, 2.0])],
+        ids=["asymmetric", "diagonal"],
+    )
+    def test_matrix_weights_rejected_everywhere(self, w):
+        # W = diag(w) is given by its vector alone; no entry point takes a matrix
+        q = np.array([[2.0, 0.3], [0.3, 1.0]])
+        rho, drho = density_and_derivatives(qubit2_model([0.3, 0.4, 0.5], 0.8), [1.3, 0.2])
+        calls = {
+            "weights": lambda: weights(w, 2),
+            "c_sld": lambda: c_sld(q, w),
+            "c_t": lambda: c_t(q, U_ANCHOR, w),
+            "c_r": lambda: c_r(q, U_ANCHOR, w),
+            "quantumness_T": lambda: quantumness_T(q, U_ANCHOR, w),
+            "t2_closed": lambda: t2_closed(q, U_ANCHOR, w),
+            "compute_report": lambda: compute_report(q, U_ANCHOR, w),
+            "holevo_bound": lambda: holevo_bound(rho, drho, w),
+            "csep_ordered": lambda: csep_ordered(q, (2, 1), w),
+            "best_order_dp": lambda: best_order_dp(q, w),
+            "best_order_bruteforce": lambda: best_order_bruteforce(q, w),
+        }
+        accepted = [name for name, call in calls.items() if not _raises(call, ValueError)]
+        assert accepted == []
+
+    @pytest.mark.parametrize("w", [[1.0, -1.0], [1.0, 0.0], [1.0, np.nan]])
+    def test_t2_closed_rejects_invalid_weights(self, w):
+        with pytest.raises(ValueError, match="weights must"):
+            t2_closed(np.array([[2.0, 0.3], [0.3, 1.0]]), U_ANCHOR, w)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_report_equals_public_functions(self, n, weighted):
+        rng = np.random.default_rng(40 + n)
+        for _ in range(50):
+            q, u = rand_qu_pair(rng, n)
+            w = rng.uniform(0.2, 4.0, size=n) if weighted else None
+            rep = compute_report(q, u, w)
+            assert rep.c_s == c_sld(q, w)
+            assert rep.c_t == c_t(q, u, w)
+            assert rep.c_r == c_r(q, u, w)
+            assert rep.quantumness_t == quantumness_T(q, u, w)
+            assert rep.quantumness_r == quantumness_R(q, u)
+            expected_t3 = t3_unnormalized_value(q, u, w) if n == 3 else None
+            assert rep.t3_unnormalized == expected_t3
 
 
 U_TWO = np.array([[0.0, 1.0], [-1.0, 0.0]])

@@ -244,7 +244,7 @@ class TestSolverContracts:
             sol = holevo_bound(rho, drho)
             assert sol.constraint_residual <= 1e-7
             # re-verify from the reconstructed operator family
-            for u_idx, x_u in enumerate(sol.x_opt.operators):
+            for u_idx, x_u in enumerate(sol.operators):
                 assert abs(np.trace(rho @ x_u).real) <= 1e-7
                 for v_idx, dr in enumerate(drho):
                     target = 1.0 if u_idx == v_idx else 0.0
@@ -287,7 +287,7 @@ class TestSolverContracts:
         sol = holevo_bound(rho, drho)
         bad = type(sol)(
             value=3.0 * c_sld(ev.q),
-            x_opt=sol.x_opt,
+            operators=sol.operators,
             v_opt=sol.v_opt,
             status=sol.status,
             gap=sol.gap,
@@ -313,7 +313,7 @@ class TestSolverContracts:
         alpha, beta, B, t = qubit_instance(rng)
         rho, drho, _ = qubit_problem(alpha, beta, B, t)
         sol = holevo_bound(rho, drho)
-        z = z_matrix(rho, sol.x_opt.operators)
+        z = z_matrix(rho, sol.operators)
         direct = float(np.trace(z.real) + np.sum(np.abs(np.linalg.eigvalsh(1j * z.imag))))
         assert sol.value == pytest.approx(direct, rel=1e-6, abs=1e-8)
 
@@ -323,7 +323,7 @@ class TestSolverContracts:
             alpha, beta, B, t = qubit_instance(rng)
             rho, drho, ev = qubit_problem(alpha, beta, B, t)
             sol = holevo_bound(rho, drho)
-            z = z_matrix(rho, sol.x_opt.operators)
+            z = z_matrix(rho, sol.operators)
             assert np.allclose(z, z.conj().T, atol=1e-10)
             assert np.min(np.linalg.eigvalsh(z.real)) >= -1e-10
             # Re Z dominates Q^-1 up to solver tolerance
