@@ -41,7 +41,6 @@ from .errors import (
     Infeasible,
     NoConvergence,
     NotApplicable,
-    NotPositiveDefinite,
     QmetError,
     SingularQfim,
     TooManyParameters,
@@ -105,7 +104,6 @@ __all__ = [
     "ModelEvaluation",
     "NoConvergence",
     "NotApplicable",
-    "NotPositiveDefinite",
     "ProbeOptResult",
     "PureStateModel",
     "Qfim",

@@ -180,8 +180,8 @@ def c_r(q, u, w=None):
     return (1.0 + quantumness_R(qf, u)) * c_sld(qf, w)
 
 
-def is_pure_qubit_pair(q, u, rtol=PURE_QUBIT_RTOL):
-    """True when (Q, U) satisfies the pure-qubit identity det Q = U_12^2.
+def is_pure_qubit_pair(q, u):
+    """True when (Q, U) satisfies det Q = U_12^2 to within PURE_QUBIT_RTOL.
 
     False for a Q that is singular under the pivot rule or not 2 x 2.
     """
@@ -193,14 +193,15 @@ def is_pure_qubit_pair(q, u, rtol=PURE_QUBIT_RTOL):
         return False
     det_q = pivot_determinant(qf.L)
     u12_sq = float(np.asarray(u, dtype=float)[0, 1]) ** 2
-    return abs(det_q - u12_sq) <= rtol * max(det_q, u12_sq)
+    return abs(det_q - u12_sq) <= PURE_QUBIT_RTOL * max(det_q, u12_sq)
 
 
 def c_holevo_qubit_pure(q, w=None, u=None):
     """Closed-form Holevo bound Tr[W Q^-1] + 2 sqrt(det[W Q^-1]).
 
     Valid for two-parameter pure qubit models, where it equals (1 + T) C_S.
-    When ``u`` is supplied the pure-qubit certificate det Q = U_12^2 is
+    sqrt(det[W Q^-1]) = sqrt(w1 w2) / prod diag(L) is read from the factor of
+    Q.  When ``u`` is supplied the pure-qubit certificate det Q = U_12^2 is
     checked and NotApplicable raised on failure.
     """
     qf = qfim(q)
@@ -208,11 +209,9 @@ def c_holevo_qubit_pure(q, w=None, u=None):
         raise NotApplicable("closed form requires a two-parameter model")
     if u is not None and not is_pure_qubit_pair(qf, u):
         raise NotApplicable("det Q = U_12^2 does not hold: not a pure qubit model")
-    wq = weights(w, 2)[:, None] * qf.inverse
-    det_wq = float(np.linalg.det(wq))
-    if det_wq < 0:
-        raise SingularQfim("det[W Q^-1] < 0")
-    return float(np.trace(wq) + 2.0 * np.sqrt(det_wq))
+    w = weights(w, 2)
+    wq = w[:, None] * qf.inverse
+    return float(wq.trace() + 2.0 * np.sqrt(w[0] * w[1]) / pivot_product(qf.L))
 
 
 def sloppiness(q):
@@ -295,7 +294,7 @@ def compute_report(q, u, w=None):
     r_val = quantumness_R(qf, u)
     c_h = None
     if n == 2 and is_pure_qubit_pair(qf, u):
-        c_h = c_holevo_qubit_pure(qf, w, u)
+        c_h = c_holevo_qubit_pure(qf, w)
     return BoundReport(
         c_s=c_s,
         c_t=(1.0 + t_val) * c_s,

@@ -5,12 +5,12 @@ class QmetError(Exception):
     """Base class for all package-specific errors."""
 
 
-class NotPositiveDefinite(QmetError):
-    """A Cholesky pivot fell at or below the pivot tolerance."""
-
-
 class SingularQfim(QmetError):
-    """A quantum Fisher information matrix is singular or not positive definite."""
+    """A QFIM, or any matrix factored under the pivot rule, is singular.
+
+    The one error of the package's one singularity rule: a squared
+    Cholesky pivot is non-finite or at or below ``linalg.pivot_tol``.
+    """
 
 
 class TooManyParameters(QmetError):

@@ -45,10 +45,10 @@ def _fmt(x):
     return _FLOAT_FMT % float(x)
 
 
-def write_csv(path, header, rows, config=None):
+def write_csv(path, header, rows, config):
     """Write rows of already-formatted strings with config comment lines."""
     lines = []
-    for key, value in (config or {}).items():
+    for key, value in config.items():
         lines.append(f"# {key}={value}")
     lines.append(",".join(header))
     lines.extend(",".join(row) for row in rows)
@@ -131,9 +131,10 @@ def run_scatter_study(params=DEFAULT_SCATTER_PARAMS, n_states=1000, seed=0,
 
     ``multi_params`` may be an integer (that many pseudorandom parameter
     sets) or an explicit list of (B, theta, phi, t) tuples; ``n_states``
-    probes are drawn per set.  ``probes`` overrides the Haar stream (single
-    set only), which is how degenerate inputs are exercised.  Returns
-    (rows, summary); flagged rows are kept but excluded from the summary.
+    probes are drawn per set.  ``probes`` overrides the Haar stream with the
+    same probes for every set, which is how degenerate inputs are exercised.
+    Returns (rows, summary); flagged rows are kept but excluded from the
+    summary.
     """
     rng = np.random.default_rng(seed)
     if multi_params is None:
@@ -142,17 +143,14 @@ def run_scatter_study(params=DEFAULT_SCATTER_PARAMS, n_states=1000, seed=0,
         param_sets = draw_parameter_sets(multi_params, rng)
     else:
         param_sets = [tuple(p) for p in multi_params]
-    jobs = []
-    index = 0
+    rows = []
     for pset in param_sets:
         if probes is not None:
             drawn = [normalize_state(p, 3) for p in probes]
         else:
             drawn = [haar_pure_state(3, rng) for _ in range(n_states)]
         for probe in drawn:
-            jobs.append((index, pset, probe))
-            index += 1
-    rows = [scatter_row(*job) for job in jobs]
+            rows.append(scatter_row(len(rows), pset, probe))
     ok = [r for r in rows if r.flag == "ok"]
     summary = {
         "n_rows": len(rows),

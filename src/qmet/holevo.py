@@ -48,17 +48,22 @@ SDP_TOL = 1e-6
 CONSTRAINT_TOL = 1e-8
 MAX_ITERATIONS = 500
 RANK_TOL = 1e-12
+SANDWICH_TOL = 1e-6
 _POLISH_TOL = 1e-11
 _BOUNDARY_FRACTION = 0.98
 
 
 @dataclass(frozen=True)
 class HolevoSolution:
-    """The bound, the optimal locally unbiased observables X_u (n x d x d) and V."""
+    """The bound and the optimal locally unbiased observables X_u (n x d x d).
+
+    ``status`` is "converged" or "max_iter"; ``gap`` is the last duality gap
+    and ``constraint_residual`` the largest violation of
+    Tr[d_v rho X_u] = delta_uv and Tr[rho X_u] = 0 by the operators.
+    """
 
     value: float
     operators: np.ndarray
-    v_opt: np.ndarray
     status: str
     gap: float
     iterations: int
@@ -107,7 +112,7 @@ def _validate_inputs(rho, drho):
     return rho, evals, evecs, out
 
 
-def _inverse_factor(a):
+def _linv(a):
     """L^-1 for the lower Cholesky factor L of ``a``, or None where LAPACK's dpotrf stops."""
     L, info = lapack.dpotrf(a, lower=1)
     return None if info else lapack.dtrtri(L, lower=1)[0]
@@ -225,7 +230,7 @@ def holevo_bound(rho, drho, w=None):
                 break
         if gap <= 0.5 * _POLISH_TOL * scale:
             break
-        g_linv, y_linv = _inverse_factor(g), _inverse_factor(y)
+        g_linv, y_linv = _linv(g), _linv(y)
         if g_linv is None or y_linv is None:
             break
         ginv = symmetrize(g_linv.T @ g_linv)
@@ -252,8 +257,6 @@ def holevo_bound(rho, drho, w=None):
         prev_gap = gap
 
     value = float(cvec @ z)
-    v_opt = np.zeros((n, n))
-    v_opt[upper] = v_opt[upper[::-1]] = z[:nv]
     xi = z[nv:].reshape(n, f)
     coeffs = (x0 + nullspace @ xi.T).T  # n x nb
     operators = np.tensordot(coeffs, stacked, axes=1)  # n x d x d
@@ -263,7 +266,6 @@ def holevo_bound(rho, drho, w=None):
     return HolevoSolution(
         value=value,
         operators=operators,
-        v_opt=v_opt,
         status=status,
         gap=gap,
         iterations=iterations,
@@ -281,10 +283,10 @@ def z_matrix(rho, operators):
     return np.einsum("ab,ubc,vca->uv", np.asarray(rho, dtype=complex), ops, ops)
 
 
-def verify_sandwich(solution, q, u, w=None, tol=1e-6):
-    """Check C_S - tol <= value <= (1 + T(W)) C_S + tol for a converged solve."""
+def verify_sandwich(solution, q, u, w=None):
+    """Check C_S - tol <= value <= (1 + T(W)) C_S + tol, tol = SANDWICH_TOL (1 + |C_T|)."""
     q = qfim(q)
     low = c_sld(q, w)
     high = c_t(q, u, w)
-    slack = tol * (1.0 + abs(high))
+    slack = SANDWICH_TOL * (1.0 + abs(high))
     return bool(low - slack <= solution.value <= high + slack)

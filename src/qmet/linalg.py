@@ -8,7 +8,10 @@ below :func:`pivot_tol`.
 
 A QFIM is validated and factored once, by :func:`qfim`, into a read-only
 :class:`Qfim` that carries Q, its factor L and L^-1.  Every function of
-the package that takes a QFIM accepts either a matrix or a ``Qfim``.
+the package that takes a QFIM accepts either a matrix or a ``Qfim``.  The
+rule has one error, ``SingularQfim``, raised by :func:`_cholesky`;
+:func:`cholesky` and :func:`spd_inverse` are read off a ``Qfim``, and only
+:func:`determinant` falls back, to an LU determinant, instead of raising.
 Weights are one positive vector w, W = diag(w), validated by :func:`weights`.
 """
 
@@ -19,7 +22,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import NotPositiveDefinite, SingularQfim
+from .errors import SingularQfim
 
 PIVOT_TOL_FACTOR = 1e-12
 
@@ -62,7 +65,7 @@ def _checked_symmetric(m, name="matrix") -> np.ndarray:
 def _cholesky(a) -> np.ndarray:
     """Lower Cholesky factor of the symmetric float matrix ``a``, without validation.
 
-    Applies the package's singularity rule and raises NotPositiveDefinite
+    Applies the package's singularity rule and raises SingularQfim
     naming the first squared pivot that is non-finite or at or below
     :func:`pivot_tol`, or at which LAPACK stops.
     """
@@ -73,30 +76,15 @@ def _cholesky(a) -> np.ndarray:
     ok = (L.diagonal()[:info - 1] if info else L.diagonal()) ** 2 > tol  # NaN compares False
     if info or not ok.all():
         j = info - 1 if ok.all() else int(np.argmin(ok))  # the first False
-        raise NotPositiveDefinite(
+        raise SingularQfim(
             f"squared pivot at index {j} is non-finite or at or below tolerance {tol:.3e}"
         )
     return L
 
 
-def cholesky(m) -> np.ndarray:
-    """Lower-triangular L with ``L @ L.T == m`` for symmetric positive-definite m.
-
-    Raises NotPositiveDefinite when m is singular under the pivot rule of
-    :func:`_cholesky`, the rule by which a singular or invalid QFIM is
-    detected everywhere else in the package.
-    """
-    return _cholesky(_checked_symmetric(m))
-
-
 def _read_only(a) -> np.ndarray:
     a.flags.writeable = False
     return a
-
-
-def _inverse(linv) -> np.ndarray:
-    """``(L L^T)^-1`` from ``L^-1``, as symmetrize(L^-T L^-1)."""
-    return symmetrize(linv.T @ linv)
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,23 +105,21 @@ class Qfim:
 
     @cached_property
     def inverse(self) -> np.ndarray:
-        """Q^-1 by the formula of :func:`spd_inverse`, read-only."""
-        return _read_only(_inverse(self.linv))
+        """Q^-1 = L^-T L^-1, symmetrized, read-only."""
+        return _read_only(symmetrize(self.linv.T @ self.linv))
 
 
 def qfim(m) -> Qfim:
     """Validate, factor and invert the factor of a QFIM once; a Qfim is returned as is.
 
     Raises ValueError for empty, non-square, non-finite or asymmetric input
-    and SingularQfim where :func:`cholesky` raises NotPositiveDefinite.
+    and SingularQfim, from :func:`_cholesky`, for a matrix that is singular
+    under the pivot rule.
     """
     if isinstance(m, Qfim):
         return m
     q = _checked_symmetric(m, "QFIM")
-    try:
-        L = _cholesky(q)
-    except NotPositiveDefinite as exc:
-        raise SingularQfim(str(exc)) from exc
+    L = _cholesky(q)
     linv = lapack.dtrtri(L, lower=1)[0]
     return Qfim(q=_read_only(q), L=_read_only(L), linv=_read_only(linv))
 
@@ -153,7 +139,7 @@ def pivot_product(L) -> float:
     Dividing by it rather than by its square keeps quotients finite on Q of
     scale down to ~1e-300 / n, where :func:`pivot_determinant` underflows.
     """
-    return float(np.prod(np.diag(L)))
+    return float(L.diagonal().prod())
 
 
 def pivot_determinant(L) -> float:
@@ -161,12 +147,22 @@ def pivot_determinant(L) -> float:
     return pivot_product(L) ** 2
 
 
-def spd_inverse(m) -> np.ndarray:
-    """Inverse of a symmetric positive-definite matrix via Cholesky.
+def cholesky(m) -> np.ndarray:
+    """The read-only lower Cholesky factor L of ``qfim(m)``, with ``L @ L.T == m``.
 
-    Raises NotPositiveDefinite for non-SPD input.
+    Raises what :func:`qfim` raises: SingularQfim when m is singular under
+    the pivot rule of :func:`_cholesky`.
     """
-    return _inverse(lapack.dtrtri(cholesky(m), lower=1)[0])
+    return qfim(m).L
+
+
+def spd_inverse(m) -> np.ndarray:
+    """The read-only inverse ``qfim(m).inverse`` of a symmetric positive-definite m.
+
+    Raises what :func:`qfim` raises: SingularQfim for a matrix that is
+    singular under the pivot rule.
+    """
+    return qfim(m).inverse
 
 
 def determinant(m) -> float:
@@ -179,7 +175,7 @@ def determinant(m) -> float:
     a = _checked_symmetric(m)
     try:
         return pivot_determinant(_cholesky(a))
-    except NotPositiveDefinite:
+    except SingularQfim:
         return float(np.linalg.det(a))
 
 

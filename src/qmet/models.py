@@ -41,6 +41,8 @@ _J1X = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / np.sqrt(2.0)
 _J1Y = np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]], dtype=complex) / np.sqrt(2.0)
 _J1Z = np.diag([1.0, 0.0, -1.0]).astype(complex)
 
+ZERO_NORM = 1e-12  # state and Bloch vectors of smaller norm are rejected
+
 
 def spin_half_operators():
     """(Jx, Jy, Jz) for a qubit, i.e. the Pauli matrices over two."""
@@ -87,13 +89,17 @@ def hermitian_operator_basis(d):
     return basis
 
 
+def _unit(v, name):
+    """``v / ||v||``; ValueError when ||v|| is below ZERO_NORM."""
+    norm = np.linalg.norm(v)
+    if norm < ZERO_NORM:
+        raise ValueError(f"{name} has (near-)zero norm")
+    return v / norm
+
+
 def bloch_to_state(r):
     """Unit qubit state vector with Bloch vector ``r`` (normalized on input)."""
-    r = np.asarray(r, dtype=float)
-    norm = np.linalg.norm(r)
-    if norm == 0:
-        raise ValueError("Bloch vector must be nonzero")
-    x, y, z = r / norm
+    x, y, z = _unit(np.asarray(r, dtype=float), "Bloch vector")
     theta = np.arccos(np.clip(z, -1.0, 1.0))
     phi = np.arctan2(y, x)
     return np.array(
@@ -119,14 +125,12 @@ def qutrit_coherence(psi):
     )
 
 
-def normalize_state(psi, dim=None):
+def normalize_state(psi, dim):
+    """The unit vector of ``psi``, which must have ``dim`` entries."""
     psi = np.asarray(psi, dtype=complex).ravel()
-    if dim is not None and psi.size != dim:
+    if psi.size != dim:
         raise ValueError(f"expected a state of dimension {dim}, got {psi.size}")
-    norm = np.linalg.norm(psi)
-    if norm < 1e-12:
-        raise ValueError("state vector has (near-)zero norm")
-    return psi / norm
+    return _unit(psi, "state vector")
 
 
 def geometry_vectors(B, theta, t):
@@ -211,11 +215,7 @@ def eval_qubit2(B, theta, t, bloch):
     Q_Bt = 2 t sin(Bt/2) (n_1 . r)(n_theta . r),
     U_Bt = -2 t sin(Bt/2) (n_2 . r).
     """
-    r = np.asarray(bloch, dtype=float)
-    norm = np.linalg.norm(r)
-    if norm < 1e-12:
-        raise ValueError("Bloch vector must be nonzero")
-    r = r / norm
+    r = _unit(np.asarray(bloch, dtype=float), "Bloch vector")
     n_theta, n_1, n_2 = geometry_vectors(B, theta, t)
     a, b, g = n_theta @ r, n_1 @ r, n_2 @ r
     s = np.sin(B * t / 2.0)

@@ -29,7 +29,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .errors import NotPositiveDefinite, SingularQfim, TooManyParameters
+from .errors import SingularQfim, TooManyParameters
 from .linalg import (
     _cholesky,
     pivot_determinant,
@@ -106,7 +106,7 @@ def _step_terms(q, idx):
     rev = idx[::-1]
     try:
         piv = _cholesky(q[rev[:, None], rev]).diagonal() ** 2
-    except NotPositiveDefinite:
+    except SingularQfim:
         return None
     return 1.0 / piv[::-1]
 

@@ -22,7 +22,7 @@ from qmet.bounds import (
     t3_unnormalized_value,
     threshold_csep_vs,
 )
-from qmet.errors import NotApplicable, NotPositiveDefinite, SingularQfim
+from qmet.errors import NotApplicable, SingularQfim
 from qmet.holevo import holevo_bound
 from qmet.linalg import cholesky, qfim, symmetrize, weights
 from qmet.models import (
@@ -226,6 +226,10 @@ class TestHolevoClosedForm:
             w = rng.uniform(0.2, 3.0, size=2)
             ch = c_holevo_qubit_pure(ev.q, w, ev.u)
             assert abs(ch - c_t(ev.q, ev.u, w)) <= 1e-9 * ch
+            # the definition Tr[W Q^-1] + 2 sqrt(det[W Q^-1]), by direct inversion
+            wq = np.diag(w) @ np.linalg.inv(ev.q)
+            direct = np.trace(wq) + 2.0 * np.sqrt(np.linalg.det(wq))
+            assert abs(ch - direct) <= 1e-12 * direct
 
     def test_not_applicable(self):
         with pytest.raises(NotApplicable):
@@ -462,7 +466,7 @@ class TestSingularityRule:
             n = q.shape[0]
             u = U_TWO if n == 2 else U_THREE
             verdicts = {
-                "cholesky": _raises(lambda: cholesky(q), NotPositiveDefinite),
+                "cholesky": _raises(lambda: cholesky(q), SingularQfim),
                 "sloppiness": sloppiness(q) == np.inf,
                 "brackets": _raises(lambda: brackets(q)),
                 "c_sld": _raises(lambda: c_sld(q)),
@@ -481,7 +485,7 @@ class TestSingularityRule:
 
     def test_qfim_raises_exactly_when_cholesky_raises(self):
         for q in _rule_inputs():
-            assert _raises(lambda: qfim(q)) == _raises(lambda: cholesky(q), NotPositiveDefinite), q
+            assert _raises(lambda: qfim(q)) == _raises(lambda: cholesky(q), SingularQfim), q
 
     def test_non_finite_rejected(self):
         for q in _non_finite_inputs():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -285,15 +287,7 @@ class TestSolverContracts:
     def test_sandwich_rejects_corrupted_value(self):
         rho, drho, ev = qubit_problem(0.0, 0.0, np.pi, 1.0)
         sol = holevo_bound(rho, drho)
-        bad = type(sol)(
-            value=3.0 * c_sld(ev.q),
-            operators=sol.operators,
-            v_opt=sol.v_opt,
-            status=sol.status,
-            gap=sol.gap,
-            iterations=sol.iterations,
-            constraint_residual=sol.constraint_residual,
-        )
+        bad = dataclasses.replace(sol, value=3.0 * c_sld(ev.q))
         assert not verify_sandwich(bad, ev.q, ev.u)
 
     def test_json_shape(self):

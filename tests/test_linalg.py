@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qmet.errors import NotPositiveDefinite, SingularQfim
+from qmet.errors import SingularQfim
 from qmet.linalg import (
     Qfim,
     _cholesky,
@@ -27,7 +27,7 @@ class TestCholesky:
         assert np.allclose(cholesky(np.eye(3)), np.eye(3))
 
     def test_indefinite_raises(self):
-        with pytest.raises(NotPositiveDefinite):
+        with pytest.raises(SingularQfim):
             cholesky([[1.0, 2.0], [2.0, 1.0]])
 
     def test_asymmetric_rejected(self):
@@ -49,7 +49,7 @@ class TestCholesky:
         # rank-1 plus a component below the pivot tolerance
         v = np.array([1.0, 2.0, 3.0])
         m = np.outer(v, v) + 1e-16 * np.eye(3)
-        with pytest.raises(NotPositiveDefinite):
+        with pytest.raises(SingularQfim):
             cholesky(m)
 
     @staticmethod
@@ -73,10 +73,10 @@ class TestCholesky:
 
     def test_error_names_first_bad_pivot(self):
         # a tiny positive pivot before the negative one at which LAPACK stops
-        with pytest.raises(NotPositiveDefinite, match="index 1 "):
+        with pytest.raises(SingularQfim, match="index 1 "):
             cholesky(np.diag([1.0, 1e-20, -1.0]))
         # the unvalidated kernel reads a NaN pivot as singular
-        with pytest.raises(NotPositiveDefinite, match="index 2 "):
+        with pytest.raises(SingularQfim, match="index 2 "):
             _cholesky(np.array([[1.0, 0.0, np.nan], [0.0, 1.0, 0.0], [np.nan, 0.0, 1.0]]))
         rng = np.random.default_rng(29)
         for n in range(2, 9):
@@ -84,13 +84,13 @@ class TestCholesky:
                 # LAPACK stops at k, where the squared pivot is negative
                 d = rng.uniform(0.5, 2.0, n)
                 d[k] = -1.0
-                with pytest.raises(NotPositiveDefinite, match=f"index {k} "):
+                with pytest.raises(SingularQfim, match=f"index {k} "):
                     cholesky(self._with_pivots(rng, d))
                 # a tiny positive pivot at i < k fails the rule before LAPACK stops
                 for i in range(k):
                     d_tiny = d.copy()
                     d_tiny[i] = 1e-20
-                    with pytest.raises(NotPositiveDefinite, match=f"index {i} "):
+                    with pytest.raises(SingularQfim, match=f"index {i} "):
                         cholesky(self._with_pivots(rng, d_tiny, tiny=i))
 
 

@@ -193,6 +193,14 @@ class TestQubitModel:
             r /= np.linalg.norm(r)
             assert np.allclose(state_to_bloch(bloch_to_state(r)), r, atol=1e-12)
 
+    @pytest.mark.parametrize("r", [[1e-13, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    def test_near_zero_bloch_vector_rejected(self, r):
+        # one zero-norm rule for every entry that takes a Bloch vector
+        for build in (bloch_to_state, lambda r: qubit2_model(r, 1.0),
+                      lambda r: eval_qubit2(1.0, 0.2, 1.0, r)):
+            with pytest.raises(ValueError, match="zero norm"):
+                build(r)
+
 
 class TestQutritModels:
     def test_max_variance_probe(self):
