@@ -100,7 +100,7 @@ def scatter_row(index, params, probe):
             sol = holevo_bound(rho, drho)
             c_h, c_h_status = sol.value, sol.status
             if sol.status != "converged":
-                flag = "sdp_max_iter"
+                flag = "sdp_" + sol.status
         except Infeasible:
             flag = "infeasible"
     return ScatterRow(

@@ -1,4 +1,4 @@
-"""Numerical Holevo bound via a self-contained interior-point SDP.
+"""Numerical Holevo bound: an exact solve where Im Z is affine, else an interior-point SDP.
 
 The bound minimizes ``Tr[W Re Z] + ||sqrt(W) Im Z sqrt(W)||_1`` with
 ``Z_uv = Tr[rho X_u X_v]`` over Hermitian observable families satisfying
@@ -32,9 +32,31 @@ a pure probe) are kept as one flattened p x m^2 stack: M is one batched
 matmul T_k = Y G_k G^-1 followed by one GEMM with the stack, and every
 other term of an iteration is a product with it.  The G_k have one or two
 nonzero blocks each; that sparsity is not exploited.
+
+Some models skip the loop and are solved exactly.  With A = R X0 and
+B = R N, every feasible family has R x_u = A_u + B xi_u, so
+Z = (A + B xi)^dag (A + B xi).  When Im(B^dag B) = 0 (within RANK_TOL of
+its largest entry), Im Z is affine in xi.  This always holds for f = 0
+(the pure qubit) and f = 1: the pure three-parameter qutrit, whose family
+is Matsumoto's vector form x_u = X_u|psi> (Matsumoto, J. Phys. A 35, 3111
+(2002)), and the two-parameter mixed qubit.  For n = 1, Im Z vanishes
+outright.  For n <= 3 the nuclear norm ||sqrt(W) Im Z sqrt(W)||_1 of the
+antisymmetric matrix is twice the Euclidean norm of its k = n(n-1)/2
+entries above the diagonal.  Whitening the real part (Re(B^dag B) is the
+diagonal of the squared singular values that cut N) turns the bound into
+const + min_eta |eta|^2 + 2|c + L eta|, whose dual is the trust-region
+subproblem max_{|e| <= 1} 2 c^T e - e^T L L^T e.  One k x k eigh and a
+safeguarded Newton root of its secular equation solve that, with
+eta = -L^T e.  There ``status`` is "converged", ``gap`` is the KKT residual
+measured as the duality gap between eta and e, and ``iterations`` counts
+the root steps (0 when the solution is interior).  Every other model (the
+two-parameter qutrit, with f = 2 and a non-isotropic null space, most mixed
+states, n > 3) runs the interior-point loop.
 """
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import lapack
@@ -51,14 +73,24 @@ RANK_TOL = 1e-12
 SANDWICH_TOL = 1e-6
 _POLISH_TOL = 1e-11
 _BOUNDARY_FRACTION = 0.98
+_ROOT_TOL = 1e-14
+_PAIRS = np.array([[0, 0, 1], [1, 2, 2]])  # (u, v), u < v; the first n(n-1)/2 cover range(n)
 
 
 @dataclass(frozen=True)
 class HolevoSolution:
     """The bound and the optimal locally unbiased observables X_u (n x d x d).
 
-    ``status`` is "converged" or "max_iter"; ``gap`` is the last duality gap
-    and ``constraint_residual`` the largest violation of
+    ``status`` is "converged"; "max_iter" when the interior-point loop used
+    all MAX_ITERATIONS iterations without converging; or "stalled" when it
+    stopped earlier without converging (a failed factorization, both step
+    lengths below 1e-10, or no progress in the gap).  On the exact path
+    (n <= 3 and Im Z affine in the free directions) the status is always
+    "converged", ``gap`` is the KKT residual, measured as the duality gap of
+    the trust-region subproblem, and ``iterations`` is the number of root
+    steps of its secular equation.  On the loop, ``gap`` is the last duality
+    gap and ``iterations`` the number of interior-point iterations.
+    ``constraint_residual`` is the largest violation of
     Tr[d_v rho X_u] = delta_uv and Tr[rho X_u] = 0 by the operators.
     """
 
@@ -98,17 +130,17 @@ def _validate_inputs(rho, drho):
     evals, evecs = np.linalg.eigh(rho)
     if evals[0] < -1e-10:
         raise ValueError("rho must be positive semidefinite")
-    out = []
-    for k, dr in enumerate(drho):
-        dr = np.asarray(dr, dtype=complex)
-        if dr.shape != (d, d):
-            raise ValueError("derivative shapes must match rho")
-        dscale = 1.0 + float(np.max(np.abs(dr)))
-        if np.max(np.abs(dr - dr.conj().T)) > 1e-8 * dscale:
-            raise ValueError(f"drho[{k}] must be Hermitian")
-        if abs(np.trace(dr)) > 1e-8 * dscale:
-            raise ValueError(f"drho[{k}] must be traceless")
-        out.append(dr)
+    out = [np.asarray(dr, dtype=complex) for dr in drho]
+    if any(dr.shape != (d, d) for dr in out):
+        raise ValueError("derivative shapes must match rho")
+    stack = np.array(out)
+    dscale = 1e-8 * (1.0 + np.abs(stack).max(axis=(1, 2)))
+    skew = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2)) > dscale
+    traced = np.abs(stack.trace(axis1=1, axis2=2)) > dscale
+    bad = np.flatnonzero(skew | traced)
+    if bad.size:
+        k = int(bad[0])
+        raise ValueError(f"drho[{k}] must be " + ("Hermitian" if skew[k] else "traceless"))
     return rho, evals, evecs, out
 
 
@@ -141,20 +173,30 @@ def _newton_system(gflat, y, ginv):
     return 0.5 * (mm + mm.T), gflat @ ginv.ravel()
 
 
+@lru_cache(maxsize=None)
+def _operator_basis(d):
+    """:func:`models.hermitian_operator_basis` of dimension d as one read-only nb x d x d array."""
+    stacked = np.array(hermitian_operator_basis(d))
+    stacked.flags.writeable = False
+    return stacked
+
+
 def holevo_bound(rho, drho, w=None):
     """Holevo bound of a (pure or mixed) model given rho and its derivatives.
 
     ``w`` is the weight vector of :func:`linalg.weights`, W = diag(w).
     Raises ValueError for invalid input, including an empty ``drho``, and
     Infeasible when the unbiasedness system has no solution (the model is
-    not locally identifiable).  A run that exhausts the iteration budget
-    returns its best value with status "max_iter" and the reached duality
-    gap, rather than raising.
+    not locally identifiable).  Models with n <= 3 whose Im Z is affine in
+    the free directions (n = 1, every pure qubit and pure three-parameter
+    qutrit) are solved exactly; the others run the interior-point loop.  A
+    loop that stops without converging returns its best value with status
+    "max_iter" or "stalled" and the reached duality gap, rather than raising.
     """
     rho, evals, evecs, drho = _validate_inputs(rho, drho)
     n = len(drho)
     w = weights(w, n)
-    stacked = np.array(hermitian_operator_basis(rho.shape[0]))  # nb x d x d
+    stacked = _operator_basis(rho.shape[0])  # nb x d x d
     nb = len(stacked)
     e_ops = np.array(drho + [rho])  # d_1 rho, ..., d_n rho, rho
 
@@ -162,7 +204,7 @@ def holevo_bound(rho, drho, w=None):
     # SVD gives the least-norm solution X0 and the null space; X0 is
     # feasible when it satisfies the constraints as evaluated in floating point
     e_mat = np.einsum("kab,iba->ki", e_ops, stacked).real
-    rhs = np.vstack([np.eye(n), np.zeros((1, n))])
+    rhs = np.eye(n + 1, n)
     u_e, sv, vt = np.linalg.svd(e_mat)
     rank = int(np.sum(sv > RANK_TOL * sv[0]))
     x0 = vt[:rank].T @ ((u_e[:, :rank].T @ rhs) / sv[:rank, None])  # nb x n
@@ -172,16 +214,125 @@ def holevo_bound(rho, drho, w=None):
     # Gram factor R: column i is vec(b_i V_r Lambda_r^1/2), so R^dag R = Tr[rho b_i b_j]
     keep = evals > RANK_TOL * evals[-1]
     r_fact = (stacked @ (evecs[:, keep] * np.sqrt(evals[keep]))).reshape(nb, -1).T
-    r_rank = r_fact.shape[0]  # d r
 
     # orthonormal basis of the null-space directions R sees, cut relative to
     # sqrt(lambda_max(rho)), which bounds the norm of R
     r_null = r_fact @ vt[rank:].T
     _, sv_r, wt = np.linalg.svd(np.vstack([r_null.real, r_null.imag]), full_matrices=False)
-    wt = wt[: int(np.sum(sv_r > RANK_TOL * np.sqrt(evals[-1])))]
+    f = int(np.sum(sv_r > RANK_TOL * np.sqrt(evals[-1])))
+    wt = wt[:f]
     nullspace = vt[rank:].T @ wt.T  # nb x f
-    f = nullspace.shape[1]
+    cols = wt @ r_null.T  # f x (d r): B = R N, one row per null-space basis direction
+    rx0 = r_fact @ x0  # A = R X0
 
+    # Im Z_uv, u != v, is affine in xi exactly when Im(B^dag B) vanishes (n = 1 has no such entry)
+    bb = cols.conj() @ cols.T
+    isotropic = np.max(np.abs(bb.imag), initial=0.0) <= RANK_TOL * np.max(np.abs(bb), initial=0.0)
+    if n == 1 or (n <= 3 and isotropic):
+        value, xi, status, gap, iterations = _exact(rx0, cols.T, sv_r[:f], w)
+    else:
+        value, xi, status, gap, iterations = _interior_point(rx0, cols, w)
+
+    coeffs = (x0 + nullspace @ xi.T).T  # n x nb
+    operators = (coeffs @ stacked.reshape(nb, -1)).reshape((n,) + stacked.shape[1:])  # n x d x d
+    # residual of Tr[d_v rho X_u] = delta_uv and Tr[rho X_u] = 0, from the operators
+    traces = np.einsum("kab,uba->uk", e_ops, operators).real
+    resid = float(np.max(np.abs(traces - np.eye(n, n + 1))))
+    return HolevoSolution(
+        value=value,
+        operators=operators,
+        status=status,
+        gap=gap,
+        iterations=iterations,
+        constraint_residual=resid,
+    )
+
+
+def _exact(a, b, sv, w):
+    """(value, xi, status, gap, iterations) of the bound for n <= 3 when Im Z is affine in xi.
+
+    ``a`` = R X0 is (d r) x n and ``b`` = R N is (d r) x f, with Re(b^dag b) =
+    diag(sv^2) by construction of N; xi is n x f, as from the loop.
+    """
+    n, f = a.shape[1], b.shape[1]
+    sw = np.sqrt(w)
+    # along beta = b / sv (orthonormal in the real inner product), zeta = sv xi
+    proj = (b / sv).conj().T @ a  # f x n: <beta_l|a_u>
+    g, s = proj.real, proj.imag
+    aa = a.conj().T @ a  # A^dag A, the Z of X0
+    # Re Z_uu = |a_u|^2 + 2 g_u.zeta_u + |zeta_u|^2, so eta_u = sqrt(w_u) (zeta_u + g_u)
+    # gives Tr[W Re Z] = const + |eta|^2
+    const = float(w @ (aa.real.diagonal() - (g * g).sum(axis=0)))
+    # Im Z_uv = Im Z0_uv + s_v.zeta_u - s_u.zeta_v, with Z0 the Z at eta = 0 (zeta = -g);
+    # its entries above the diagonal, scaled by sqrt(w_u w_v), are c + L eta
+    k = n * (n - 1) // 2
+    iu, iv = _PAIRS[:, :k]
+    im_z0 = aa.imag + s.T @ g - g.T @ s
+    c = sw[iu] * sw[iv] * im_z0[iu, iv]
+    s_w = s * sw
+    l_mat = np.zeros((k, n, f))
+    l_mat[np.arange(k), iu] = s_w[:, iv].T
+    l_mat[np.arange(k), iv] = -s_w[:, iu].T
+    eta, objective, gap, steps = _trust_region(c, l_mat.reshape(k, n * f))
+    xi = (eta.reshape(n, f) / sw[:, None] - g.T) / sv
+    return const + objective, xi, "converged", gap, steps
+
+
+def _trust_region(c, l_mat):
+    """(eta, min, gap, root steps) of min_eta |eta|^2 + 2|c + L eta|.
+
+    The dual is the trust-region subproblem max_{|e| <= 1} 2 c^T e - e^T H e
+    with H = L L^T, and eta = -L^T e.  With H = V diag(lam) V^T and gam = V^T c,
+    e = V (gam / (lam + sigma)): sigma = 0 and the least-norm e when c lies in
+    the range of H and |H^+ c| <= 1 (interior), else the root sigma in
+    (0, |c|] of |e(sigma)| = 1.  1/|e(sigma)| is concave and increasing, so
+    Newton steps from the lower bound max(0, max_i |gam_i| - lam_i) rise
+    monotonically to the root; the bracket [lo, hi] only guards against
+    rounding.  ``gap`` is the duality gap of (eta, e), zero at a KKT point.
+    """
+    steps = 0
+    c_norm = float(np.linalg.norm(c))
+    if c_norm == 0.0:
+        e = np.zeros(len(c))
+    else:
+        lam, vecs = np.linalg.eigh(l_mat @ l_mat.T)
+        lam = np.maximum(lam, 0.0).tolist()
+        gam = (c @ vecs).tolist()
+        cut = RANK_TOL * lam[-1]
+        coef = [gi / li if li > cut else 0.0 for li, gi in zip(lam, gam)]
+        off_range = sum(gi * gi for li, gi in zip(lam, gam) if li <= cut)
+        if off_range > (RANK_TOL * c_norm) ** 2 or sum(x * x for x in coef) > 1.0:
+            lo = max(0.0, max(abs(gi) - li for li, gi in zip(lam, gam)))
+            hi = c_norm
+            sigma = lo if lo > 0.0 else hi
+            for steps in range(1, MAX_ITERATIONS + 1):
+                coef = [gi / (li + sigma) for li, gi in zip(lam, gam)]
+                norm2 = sum(x * x for x in coef)
+                norm = math.sqrt(norm2)
+                if abs(norm - 1.0) <= _ROOT_TOL:
+                    break
+                if norm > 1.0:
+                    lo = sigma
+                else:
+                    hi = sigma
+                cube = sum(x * x / (li + sigma) for li, x in zip(lam, coef))
+                sigma += (norm - 1.0) * norm2 / cube
+                if not lo < sigma <= hi:
+                    sigma = max(math.sqrt(lo * hi), 1e-3 * hi)
+        e = vecs @ np.array(coef)
+    eta = -(l_mat.T @ e)
+    r = c + l_mat @ eta
+    r_norm = float(np.linalg.norm(r))
+    return eta, float(eta @ eta) + 2.0 * r_norm, 2.0 * (r_norm - float(e @ r)), steps
+
+
+def _interior_point(rx0, cols, w):
+    """(value, xi, status, gap, iterations) of the SDP by the interior-point loop.
+
+    ``rx0`` = R X0 is (d r) x n and ``cols`` = (R N)^T is f x (d r); xi is n x f.
+    """
+    r_rank, n = rx0.shape
+    f = cols.shape[0]
     mc = n + r_rank
     m = 2 * mc
     upper = np.triu_indices(n)  # the V_ab, a <= b, in row-major order
@@ -192,14 +343,12 @@ def holevo_bound(rho, drho, w=None):
     blk = np.zeros((p, mc, mc), dtype=complex)
     blk[np.arange(nv), upper[0], upper[1]] = blk[np.arange(nv), upper[1], upper[0]] = 1.0
     xi_blk = blk[nv:].reshape(n, f, mc, mc)  # a view into blk
-    cols = wt @ r_null.T  # f x (d r): R applied to each null-space basis direction
     xi_blk[np.arange(n), :, n:, np.arange(n)] = cols
     xi_blk[np.arange(n), :, np.arange(n), n:] = cols.conj()
     gflat = _realify(blk).reshape(p, m * m)
     cvec = np.zeros(p)
     cvec[:nv][upper[0] == upper[1]] = w  # Tr[W V] = sum_a w_a V_aa
 
-    rx0 = r_fact @ x0
     g0_blk = np.zeros((mc, mc), dtype=complex)
     g0_blk[n:, :n] = rx0
     g0_blk[:n, n:] = rx0.conj().T
@@ -214,7 +363,7 @@ def holevo_bound(rho, drho, w=None):
     g = g0 + (z @ gflat).reshape(m, m)
     y = np.eye(m)
 
-    status = "max_iter"
+    status = "stalled"  # until converged, or the budget runs out below
     gap = np.inf
     iterations = 0
     sigma = 0.3
@@ -255,22 +404,11 @@ def holevo_bound(rho, drho, w=None):
         if prev_gap / max(gap, 1e-300) < 1.000001 and gap < 1e3 * SDP_TOL * scale:
             break  # stalled after reaching the useful accuracy range
         prev_gap = gap
+    else:
+        if status != "converged":
+            status = "max_iter"
 
-    value = float(cvec @ z)
-    xi = z[nv:].reshape(n, f)
-    coeffs = (x0 + nullspace @ xi.T).T  # n x nb
-    operators = np.tensordot(coeffs, stacked, axes=1)  # n x d x d
-    # residual of Tr[d_v rho X_u] = delta_uv and Tr[rho X_u] = 0, from the operators
-    traces = np.einsum("kab,uba->uk", e_ops, operators).real
-    resid = float(np.max(np.abs(traces - np.eye(n, n + 1))))
-    return HolevoSolution(
-        value=value,
-        operators=operators,
-        status=status,
-        gap=gap,
-        iterations=iterations,
-        constraint_residual=resid,
-    )
+    return float(cvec @ z), z[nv:].reshape(n, f), status, gap, iterations
 
 
 def z_matrix(rho, operators):

@@ -173,6 +173,17 @@ class TestScatter:
         assert summary["n_ok"] == 0
         assert np.isnan(summary["frac_csep_below_ch"])
 
+    @pytest.mark.parametrize("status", ["stalled", "max_iter"])
+    def test_unconverged_solve_flagged(self, monkeypatch, status):
+        solve = experiments.holevo_bound
+        monkeypatch.setattr(
+            experiments, "holevo_bound", lambda *a: replace(solve(*a), status=status)
+        )
+        probe = haar_pure_state(3, np.random.default_rng(3))
+        row = scatter_row(0, (1.0, np.pi / 7.0, np.pi / 5.0, 1.0), probe)
+        assert row.c_h_status == status
+        assert row.flag == "sdp_" + status
+
     def test_multi_param_sets(self):
         rows, _ = run_scatter_study(n_states=3, seed=9, multi_params=2)
         assert len(rows) == 6

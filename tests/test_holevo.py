@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from qmet import holevo
 from qmet.bounds import c_holevo_qubit_pure, c_sld
@@ -182,8 +183,14 @@ _NEWTON_PROBLEMS = pytest.mark.parametrize(
 )
 
 
+def _loop_only(monkeypatch):
+    """Send every solve to the interior-point loop, on the inputs the exact path would get."""
+    monkeypatch.setattr(holevo, "_exact", lambda a, b, sv, w: holevo._interior_point(a, b.T, w))
+
+
 def _newton_builds(monkeypatch, problem):
-    """Solve ``problem`` and return (gflat, y, ginv, (M, tr[G_k G^-1])) of every Newton build."""
+    """Solve ``problem`` by the loop; (gflat, y, ginv, (M, tr[G_k G^-1])) of every Newton build."""
+    _loop_only(monkeypatch)
     seen = []
     build = holevo._newton_system
 
@@ -279,6 +286,16 @@ class TestSolverContracts:
         with pytest.raises(ValueError):
             holevo_bound(rho, [drho[0], np.eye(2, dtype=complex)])
 
+    def test_validation_names_the_derivative(self):
+        rho, drho, _ = qubit_problem(0.0, 0.0, np.pi, 1.0)
+        skew = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        with pytest.raises(ValueError, match=r"drho\[1\] must be Hermitian"):
+            holevo_bound(rho, [drho[0], skew, np.eye(2)])
+        with pytest.raises(ValueError, match=r"drho\[1\] must be traceless"):
+            holevo_bound(rho, [drho[0], np.eye(2), skew])
+        with pytest.raises(ValueError, match="shapes"):
+            holevo_bound(rho, [drho[0], np.zeros((3, 3))])
+
     def test_empty_drho(self):
         rho, _, _ = qubit_problem(0.0, 0.0, np.pi, 1.0)
         with pytest.raises(ValueError, match="drho"):
@@ -323,3 +340,194 @@ class TestSolverContracts:
             # Re Z dominates Q^-1 up to solver tolerance
             gap_matrix = z.real - spd_inverse(ev.q)
             assert np.min(np.linalg.eigvalsh(gap_matrix)) >= -1e-6
+
+
+def _tr_objective(c, l_mat, eta):
+    return float(eta @ eta + 2.0 * np.linalg.norm(c + l_mat @ eta))
+
+
+def _tr_direct_min(c, l_mat):
+    """|eta|^2 + 2|c + L eta| at its minimizer, found by BFGS on the smoothed objective
+    |eta|^2 + 2 sqrt(|c + L eta|^2 + delta^2) while delta shrinks (the problem is convex)."""
+    eta = np.zeros(l_mat.shape[1])
+    for delta in (1e-1, 1e-3, 1e-5, 1e-7, 1e-9):
+
+        def smoothed(x, delta=delta):
+            r = c + l_mat @ x
+            s = np.sqrt(r @ r + delta**2)
+            return x @ x + 2.0 * s, 2.0 * x + 2.0 * (l_mat.T @ r) / s
+
+        eta = minimize(smoothed, eta, jac=True, method="BFGS", options={"gtol": 1e-13}).x
+    return _tr_objective(c, l_mat, eta)
+
+
+def _cross(v):
+    """The rank-2 cross-product matrix of a 3-vector, the shape L has on a pure qutrit."""
+    return np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
+
+
+class TestTrustRegion:
+    """``_trust_region`` against direct minimization of |eta|^2 + 2|c + L eta|."""
+
+    @pytest.mark.parametrize("shape", [(3, 3), (3, 6), (1, 2), (3, "cross")])
+    def test_boundary(self, shape):
+        rng = np.random.default_rng(20)
+        for _ in range(5):
+            k, nf = shape
+            c = rng.standard_normal(k)
+            if nf == "cross":  # c leaves the range of H = L L^T
+                l_mat = _cross(rng.standard_normal(3))
+            else:  # c in the range of H, with |H^-1 c| = 3
+                l_mat = rng.standard_normal((k, nf))
+                c *= 3.0 / np.linalg.norm(np.linalg.solve(l_mat @ l_mat.T, c))
+            eta, objective, gap, steps = holevo._trust_region(c, l_mat)
+            assert steps >= 1
+            assert objective == pytest.approx(_tr_objective(c, l_mat, eta), rel=1e-14)
+            assert abs(gap) <= 1e-13 * objective
+            direct = _tr_direct_min(c, l_mat)
+            assert objective <= direct + 1e-12 * direct
+            assert objective == pytest.approx(direct, rel=1e-7)
+
+    def test_safeguarded_root(self):
+        # every |gam_i| <= lam_i, so the root search starts from |c|; its first Newton
+        # step leaves the bracket and the safeguard takes over
+        c, l_mat = np.array([0.009, 0.9]), np.diag([0.1, 1.0])
+        eta, objective, gap, steps = holevo._trust_region(c, l_mat)
+        assert steps >= 2
+        assert abs(gap) <= 1e-13 * objective
+        direct = _tr_direct_min(c, l_mat)
+        assert objective <= direct + 1e-12 * direct
+        assert objective == pytest.approx(direct, rel=1e-7)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (3, 6), (3, "cross")])
+    def test_interior(self, shape):
+        # c = L v with |v| small: c + L eta = 0 at eta = -v projected on the row space of L
+        rng = np.random.default_rng(22)
+        k, nf = shape
+        l_mat = _cross(rng.standard_normal(3)) if nf == "cross" else rng.standard_normal((k, nf))
+        v = 1e-2 * rng.standard_normal(l_mat.shape[1])
+        c = l_mat @ v
+        eta, objective, gap, steps = holevo._trust_region(c, l_mat)
+        assert steps == 0
+        np.testing.assert_allclose(eta, -np.linalg.pinv(l_mat) @ c, rtol=1e-10, atol=1e-14)
+        assert np.linalg.norm(c + l_mat @ eta) <= 1e-14
+        assert objective == pytest.approx(_tr_direct_min(c, l_mat), rel=1e-6)
+
+    def test_zero_c(self):
+        l_mat = np.random.default_rng(23).standard_normal((3, 3))
+        eta, objective, gap, steps = holevo._trust_region(np.zeros(3), l_mat)
+        assert not eta.any() and objective == 0.0 and gap == 0.0 and steps == 0
+
+    def test_no_free_directions(self):
+        # f = 0, the pure qubit: nothing to minimize over, the minimum is 2|c|
+        eta, objective, gap, steps = holevo._trust_region(np.array([-0.7]), np.zeros((1, 0)))
+        assert eta.shape == (0,) and objective == pytest.approx(1.4, rel=1e-15)
+
+
+def _weighted_objective(rho, operators, w):
+    """Tr[W Re Z] + ||sqrt(W) Im Z sqrt(W)||_1 of Z = z_matrix(rho, operators)."""
+    z = z_matrix(rho, operators)
+    sw = np.sqrt(w)
+    im = sw[:, None] * z.imag * sw[None, :]
+    return float(w @ np.diag(z.real) + np.sum(np.abs(np.linalg.eigvalsh(1j * im))))
+
+
+def _qutrit2_problem(seed):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    model = qutrit2_model(z / np.linalg.norm(z), 1.0)
+    return density_and_derivatives(model, [1.3, np.pi / 5.0])
+
+
+def _mixed_qutrit_problem(seed, spectrum):
+    rng = np.random.default_rng(seed)
+    j = np.stack(spin_one_operators())
+    a = rng.standard_normal((3, len(spectrum))) + 1j * rng.standard_normal((3, len(spectrum)))
+    v, _ = np.linalg.qr(a)
+    rho = v @ np.diag(spectrum) @ v.conj().T
+    hams = [np.tensordot(rng.standard_normal(3), j, axes=1) for _ in range(2)]
+    return rho, [-1j * (h @ rho - rho @ h) for h in hams]
+
+
+class TestExactPath:
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_matches_interior_point(self, monkeypatch, weighted):
+        rng = np.random.default_rng(30)
+        cases = []
+        for seed in range(50):
+            rho, drho = _haar_qutrit3_problem(100 + seed)
+            w = rng.uniform(0.2, 5.0, 3) if weighted else None
+            cases.append((rho, drho, w, holevo_bound(rho, drho, w).value))
+        _loop_only(monkeypatch)
+        for rho, drho, w, value in cases:
+            loop = holevo_bound(rho, drho, w)
+            assert loop.status == "converged"
+            assert abs(value - loop.value) <= 1e-9 * loop.value
+
+    @pytest.mark.parametrize(
+        "problem, exact",
+        [
+            (lambda: _haar_qutrit3_problem(12), True),
+            (lambda: qubit_problem(0.2, 0.3, 1.7, 1.1)[:2], True),
+            (_mixed_qubit_problem, True),  # f = 1 as well
+            (lambda: _qutrit2_problem(13), False),
+            (lambda: _mixed_qutrit_problem(14, [0.7, 0.3]), False),
+            (lambda: _mixed_qutrit_problem(15, [0.5, 0.3, 0.2]), False),
+        ],
+        ids=["qutrit3", "pure-qubit", "mixed-qubit", "qutrit2", "rank2-qutrit", "mixed-qutrit"],
+    )
+    def test_path_selection(self, monkeypatch, problem, exact):
+        builds = []
+        build = holevo._newton_system
+        monkeypatch.setattr(holevo, "_newton_system", lambda *a: builds.append(1) or build(*a))
+        rho, drho = problem()
+        assert holevo_bound(rho, drho).status == "converged"
+        assert (not builds) == exact
+
+    def test_operators_attain_value(self):
+        rng = np.random.default_rng(31)
+        problems = [_haar_qutrit3_problem(200 + seed) for seed in range(10)]
+        problems += [qubit_problem(*qubit_instance(rng))[:2] for _ in range(5)]
+        for rho, drho in problems:
+            for w in (np.ones(len(drho)), rng.uniform(0.2, 5.0, len(drho))):
+                sol = holevo_bound(rho, drho, w)
+                assert sol.status == "converged"
+                assert sol.constraint_residual <= 1e-7
+                assert abs(sol.gap) <= 1e-12 * sol.value
+                direct = _weighted_objective(rho, sol.operators, w)
+                assert abs(sol.value - direct) <= 1e-10 * direct
+
+    def test_single_parameter(self, monkeypatch):
+        # n = 1: Im Z vanishes whatever f is, so the bound is min Re Z = 1 / Q, and
+        # Q = 2 Tr[(d rho)^2] for a pure state
+        builds = []
+        build = holevo._newton_system
+        monkeypatch.setattr(holevo, "_newton_system", lambda *a: builds.append(1) or build(*a))
+        rho, drho = _haar_qutrit3_problem(16)
+        sol = holevo_bound(rho, [drho[0]])
+        assert not builds and sol.iterations == 0
+        q = 2.0 * np.trace(drho[0] @ drho[0]).real
+        assert sol.value == pytest.approx(1.0 / q, rel=1e-10)
+
+
+class TestLoopStatus:
+    def test_early_exit_is_stalled(self, monkeypatch):
+        calls = []
+        linv = holevo._linv
+
+        def failing(a):
+            calls.append(1)
+            return None if len(calls) == 3 else linv(a)
+
+        monkeypatch.setattr(holevo, "_linv", failing)
+        rho, drho = _qutrit2_problem(17)
+        sol = holevo_bound(rho, drho)
+        assert sol.status == "stalled"
+        assert sol.iterations == 2
+
+    def test_exhausted_budget_is_max_iter(self, monkeypatch):
+        monkeypatch.setattr(holevo, "MAX_ITERATIONS", 3)
+        rho, drho = _qutrit2_problem(17)
+        sol = holevo_bound(rho, drho)
+        assert sol.status == "max_iter"
+        assert sol.iterations == 3
