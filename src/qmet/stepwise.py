@@ -15,9 +15,14 @@ The bound depends on the order.  Orderings here are 1-based tuples of
 parameter labels, first-estimated first, matching all user-facing
 surfaces.  Two search routines find the minimizing order: brute-force
 enumeration, and a Bellman-Held-Karp bitmask recursion whose additive
-cost is the inverse Cholesky pivot 1/sqrt(q_jj - q_jI Q_II^-1 q_jI)
-of appending parameter j to an already-arranged subset I.  Squaring the
-optimal accumulated cost recovers the bound.
+cost of estimating parameter j just before an already-arranged subset I
+is sqrt(A_j) = 1/sqrt(det Q_{I+j} / det Q_I), with I+j the subset I with
+j added; the determinant ratio is the squared Cholesky pivot of j after
+the block I.  Squaring the optimal accumulated cost recovers the bound.
+The recursion reads every det Q_S from one table of subset
+log-determinants, built by doubling: the subsets whose largest index is
+t are the subsets of 0..t-1 with t added, so each natural-order Cholesky
+factor is its parent's plus one row.
 
 The order routines read only the validated matrix of a QFIM (the ``q`` of
 a :class:`linalg.Qfim`), never its natural-order factor; ``csep_cholesky``
@@ -41,7 +46,7 @@ from .linalg import (
 
 BRUTE_FORCE_MAX = 8
 DP_MAX = 20
-DP_CHUNK = 4096  # subsets per batched solve; bounds the scratch memory
+DP_CHUNK = 4096  # subsets per step of the layer pass; bounds its scratch memory
 
 
 @dataclass(frozen=True)
@@ -76,10 +81,13 @@ class DpTables:
     """Memoization tables of the ordering search, as arrays indexed by bitmask.
 
     A mask has bit k set for label k+1.  ``cost[mask]`` is the optimal
-    accumulated cost sum 1/L_jj over that subset (inf when no ordering of
-    it is feasible); ``choice[mask]`` is the 0-based index of the parameter
-    estimated first within the subset, or -1 where there is no choice.
-    ``expansions`` counts (subset, candidate) pairs, n * 2^(n-1).
+    accumulated cost over that subset: the sum, along its best ordering,
+    of sqrt(w_j) sqrt(det Q_I / det Q_{I+j}) for each j appended after the
+    subset I before it (inf when no ordering of it is feasible).  Every
+    det Q_S comes from one log-determinant table built by doubling, one
+    Cholesky row per subset.  ``choice[mask]`` is the 0-based index of the
+    parameter estimated first within the subset, or -1 where there is no
+    choice.  ``expansions`` counts (subset, candidate) pairs, n * 2^(n-1).
     """
 
     cost: np.ndarray
@@ -184,62 +192,85 @@ def best_order_bruteforce(q, w=None):
     return csep_ordered(q, best_order, w)
 
 
-def _members(masks, n, k):
-    """Ascending member indices of each k-element mask, as an (len(masks), k) array."""
-    return np.nonzero(masks[:, None] >> np.arange(n) & 1)[1].reshape(masks.size, k)
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _subset_logdets(q):
+    """log det Q_S of every parameter subset S, as an array indexed by bitmask.
+
+    Built by doubling: the masks [2^t, 2^(t+1)) are the masks below 2^t
+    with member t added last, so the natural-order Cholesky factor of each
+    is its parent's factor plus one row, and its log-determinant is the
+    parent's plus the log of one squared pivot.  ``schur[s]`` carries, for
+    every mask s below 2^t, the Schur complement of Q_S in the trailing
+    block Q_{t.., t..}: its [0, 0] entry is the pivot of t, its first row
+    over that pivot's square root is the new row of the factor, and
+    subtracting that row's outer product leaves the Schur complement of
+    the grown mask.  Step t costs O(2^t (n - t)^2).  A pivot at or below
+    zero makes its mask, and every mask grown from it, -inf or NaN,
+    without a warning.
+    """
+    n = q.shape[0]
+    ld = np.empty(1 << n)
+    ld[0] = 0.0
+    schur = q[None]
+    for t in range(n):
+        half = 1 << t
+        piv = schur[:, 0, 0]
+        ld[half:2 * half] = ld[:half] + np.log(piv)
+        row = schur[:, 0, 1:] / np.sqrt(piv)[:, None]
+        rest = schur[:, 1:, 1:]
+        schur = np.empty((2 * half,) + rest.shape[1:])
+        schur[:half] = rest
+        np.subtract(rest, row[:, :, None] * row[:, None, :], out=schur[half:])
+    return ld
 
 
 def dp_tables(q, w=None):
     """Held-Karp tables over parameter subsets, one population-count layer at a time.
 
     cost(S) = min_{j in S} cost(S \\ {j}) + sqrt(w_j) / sqrt(schur(j | S \\ {j}))
-    with schur(j | I) = q_jj - q_jI Q_II^-1 q_jI, the squared Cholesky pivot
-    of appending j after the block I.  Every finite-cost subset I of a layer
-    is factorized once, in batched solves of Q_II against Q_I,: that give
-    schur(j | I) for all j at once; subsets of infinite cost are never
-    factorized.  A Schur complement at or below :func:`pivot_tol` makes the
-    candidate infeasible, and ties keep the smallest j.
+    with schur(j | I) = det Q_{I+j} / det Q_I, the squared Cholesky pivot
+    of appending j after the block I, read off the log-determinant table
+    of :func:`_subset_logdets`.  That table is built by doubling over the
+    largest member t, each subset's natural-order factor being its
+    parent's plus one row, so no subset is factorized from scratch.  A
+    Schur complement at or below :func:`pivot_tol` makes the candidate
+    infeasible, and so does a non-finite log-determinant; ties keep the
+    smallest j.
     """
     q = qfim_matrix(q)
     n = q.shape[0]
     if n > DP_MAX:
         raise TooManyParameters(f"DP is guarded at n <= {DP_MAX}, got n = {n}")
-    wd = weights(w, n)
-    tol = pivot_tol(q)
-    diag = np.diag(q)
-    root_w = np.sqrt(wd)
+    root_w = np.sqrt(weights(w, n))
+    bits = 1 << np.arange(n)
     size = np.zeros(1, dtype=np.intp)
     for _ in range(n):
         size = np.concatenate((size, size + 1))  # popcount of every mask
-    layers = [np.flatnonzero(size == k) for k in range(n + 1)]
-    rank = np.empty(1 << n, dtype=np.intp)
-    for layer in layers:
-        rank[layer] = np.arange(layer.size)
     cost = np.full(1 << n, np.inf)
     cost[0] = 0.0
     choice = np.full(1 << n, -1, dtype=np.intp)
-    for k in range(1, n + 1):
-        prev = layers[k - 1]
-        # cand[r, j]: cost of appending j after the r-th subset of layer k - 1
-        cand = np.full((prev.size, n), np.inf)
-        for lo in range(0, prev.size, DP_CHUNK):
-            rows = lo + np.flatnonzero(np.isfinite(cost[prev[lo:lo + DP_CHUNK]]))
-            members = _members(prev[rows], n, k - 1)
-            qi = q[members]
-            qii = q[members[:, :, None], members[:, None, :]]
-            schur = diag - np.einsum("mij,mij->mj", qi, np.linalg.solve(qii, qi))
-            ok = schur > tol
-            step = root_w / np.sqrt(np.where(ok, schur, 1.0))
-            cand[rows] = np.where(ok, cost[prev[rows]][:, None] + step, np.inf)
-        layer = layers[k]
-        for lo in range(0, layer.size, DP_CHUNK):
-            sub = layer[lo:lo + DP_CHUNK]
-            members = _members(sub, n, k)
-            vals = cand[rank[sub[:, None] ^ (1 << members)], members]
-            best = np.argmin(vals, axis=1)  # first minimum: the smallest j
-            at = np.arange(sub.size)
-            cost[sub] = vals[at, best]
-            choice[sub] = np.where(np.isfinite(cost[sub]), members[at, best], -1)
+    ld = _subset_logdets(q)
+    # non-finite log-determinants, the -inf log of a zero tolerance and any
+    # overflow of exp all sit where the comparison below fails: infeasible
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_tol = np.log(pivot_tol(q))
+        for k in range(1, n + 1):
+            layer = np.flatnonzero(size == k)
+            for lo in range(0, layer.size, DP_CHUNK):
+                sub = layer[lo:lo + DP_CHUNK]
+                # S \ {j}; for j outside S this is a mask of the next layer,
+                # whose cost is still inf
+                prev = sub[:, None] ^ bits
+                log_schur = ld[sub][:, None] - ld[prev]
+                vals = np.where(
+                    log_schur > log_tol,
+                    cost[prev] + root_w * np.exp(-0.5 * log_schur),
+                    np.inf,
+                )
+                best = np.argmin(vals, axis=1)  # first minimum: the smallest j
+                best_vals = vals[np.arange(sub.size), best]
+                cost[sub] = best_vals
+                choice[sub] = np.where(np.isfinite(best_vals), best, -1)
     return DpTables(cost=cost, choice=choice, expansions=n * 2 ** (n - 1))
 
 

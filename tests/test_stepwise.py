@@ -7,6 +7,8 @@ from scipy.linalg import block_diag
 from qmet.errors import SingularQfim, TooManyParameters
 from qmet.linalg import pivot_tol
 from qmet.stepwise import (
+    DP_MAX,
+    _subset_logdets,
     best_order_bruteforce,
     best_order_dp,
     brackets,
@@ -205,6 +207,56 @@ class TestBruteForce:
             best_order_bruteforce([[1.0, 2.0], [2.0, 1.0]])
 
 
+def _submatrix(q, mask):
+    idx = [k for k in range(q.shape[0]) if mask >> k & 1]
+    return q[np.ix_(idx, idx)]
+
+
+class TestSubsetLogdets:
+    def test_matches_slogdet_of_every_submatrix(self):
+        rng = np.random.default_rng(14)
+        for n in range(1, 9):
+            for _ in range(5):
+                q = rand_spd(rng, n)
+                ld = _subset_logdets(q)
+                assert ld.shape == (1 << n,) and ld[0] == 0.0
+                atol = 1e-12 + 1e3 * np.finfo(float).eps * float(np.linalg.cond(q))
+                for mask in range(1, 1 << n):
+                    sign, ref = np.linalg.slogdet(_submatrix(q, mask))
+                    assert sign == 1.0
+                    assert abs(ld[mask] - ref) <= atol * mask.bit_count()
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-14])
+    @pytest.mark.parametrize("perm", [(0, 1, 2), (2, 0, 1), (1, 2, 0)])
+    def test_singular_block_fails_the_rule(self, eps, perm):
+        # wherever the permutation puts the singular pair of Q_eps, no mask
+        # holding the pair may be completed by appending either member last
+        q = _q_eps(eps, list(perm))
+        ld = _subset_logdets(q)
+        log_tol = np.log(pivot_tol(q))
+        pair = [perm.index(0), perm.index(1)]
+        block = (1 << pair[0]) | (1 << pair[1])
+        for mask in range(1 << 3):
+            if mask & block != block:
+                assert np.isfinite(ld[mask])
+                continue
+            for j in pair:
+                assert not ld[mask] - ld[mask ^ (1 << j)] > log_tol
+
+    def test_rank_one_fails_the_rule_beyond_singletons(self):
+        # every pair of parameters spans the same single direction
+        q = np.outer([1.0, 2.0, 4.0, 0.5], [1.0, 2.0, 4.0, 0.5])
+        ld = _subset_logdets(q)
+        log_tol = np.log(pivot_tol(q))
+        for mask in range(1, 1 << 4):
+            members = [j for j in range(4) if mask >> j & 1]
+            if len(members) == 1:
+                assert ld[mask] == pytest.approx(np.log(q[members[0], members[0]]))
+                continue
+            for j in members:
+                assert not ld[mask] - ld[mask ^ (1 << j)] > log_tol
+
+
 class TestDynamicProgramming:
     def test_worked_example(self):
         res = best_order_dp(Q_WORKED)
@@ -266,7 +318,8 @@ class TestDynamicProgramming:
         assert all(a <= b + 1e-12 for a, b in zip(mins, mins[1:]))
 
     def test_costs_match_loop_reference(self):
-        # batched solves sum in another order than the loop, hence a tolerance
+        # determinant ratios of two Cholesky chains round differently from
+        # the loop's solves, hence a tolerance
         rng = np.random.default_rng(13)
         for n in range(1, 8):
             for _ in range(10):
@@ -335,9 +388,23 @@ _SLOPPY = st.builds(
 )
 
 
+@st.composite
+def _scaled_sloppy(draw):
+    # D Q D with a sloppy Q: the natural Cholesky order can meet a tiny pivot
+    # where another order is feasible, which a determinant-ratio search must
+    # not mistake for a singular subset
+    n = draw(st.integers(2, 6))
+    q = _sloppy(draw(st.integers(0, 2**32 - 1)), n, draw(st.floats(4.0, 14.0)))
+    d = 10.0 ** np.array(draw(st.lists(st.floats(0.0, 8.0), min_size=n, max_size=n)))
+    return d[:, None] * q * d
+
+
+_SCALED_SLOPPY = _scaled_sloppy()
+
+
 class TestSearchAgreement:
     @settings(max_examples=150, deadline=None)
-    @given(st.one_of(_Q_EPS, _SLOPPY))
+    @given(st.one_of(_Q_EPS, _SLOPPY, _SCALED_SLOPPY))
     def test_dp_brute_and_ordered_agree(self, q):
         dp = _search_or_none(best_order_dp, q)
         bf = _search_or_none(best_order_bruteforce, q)
@@ -349,11 +416,20 @@ class TestSearchAgreement:
             assert csep_ordered(q, res.ordering).value == res.value
         assert abs(dp.value - bf.value) <= rtol * bf.value
 
-    def test_block_diagonal_n16(self):
+    @staticmethod
+    def _check_block_diagonal(sizes):
         rng = np.random.default_rng(12)
-        blocks = [rand_spd(rng, m) for m in (6, 6, 4)]
-        perm = rng.permutation(16)
+        blocks = [rand_spd(rng, m) for m in sizes]
+        n = sum(sizes)
+        perm = rng.permutation(n)
         q = block_diag(*blocks)[np.ix_(perm, perm)]
         expected = sum(np.sqrt(best_order_bruteforce(b).value) for b in blocks) ** 2
         res = best_order_dp(q)
         assert abs(res.value - expected) <= _cond_rtol(q) * expected
+
+    def test_block_diagonal_n16(self):
+        self._check_block_diagonal((6, 6, 4))
+
+    def test_block_diagonal_n20(self):
+        assert DP_MAX == 20  # the guard's upper end
+        self._check_block_diagonal((6, 6, 4, 4))
