@@ -2,10 +2,12 @@
 
 Everything here is deliberately independent of the implementation paths it
 checks: determinants by cofactor expansion, stepwise values by numerical
-minimization over the resource simplex, derivatives by central differences.
+minimization over the resource simplex, derivatives by central differences,
+the Holevo bound by an interior-point SDP and by direct minimization.
 """
 
 import numpy as np
+from scipy.linalg import lapack
 from scipy.optimize import minimize
 
 
@@ -125,7 +127,7 @@ def qubit_instance(rng, b_range=(0.3, 3.0), t_range=(0.3, 3.0), det_floor=1e-3):
 def direct_holevo_min(rho, drho, n_starts=3, seed=0, budget=120_000):
     """Minimize the Holevo functional directly over unbiased observable families.
 
-    Oracle for the interior-point solver: the objective
+    Oracle for the Holevo solver: the objective
     Tr[Re Z] + ||Im Z||_1 is evaluated from its definition and minimized
     with Nelder-Mead over the null-space coordinates of the unbiasedness
     constraints (the problem is convex, so a generic local minimizer
@@ -175,16 +177,135 @@ def direct_holevo_min(rho, drho, n_starts=3, seed=0, budget=120_000):
     return best
 
 
-def newton_system_by_einsum(gk, y, ginv):
-    """Interior-point Newton matrix M_kl = tr[G_k Y G_l G^-1], symmetrized, and tr[G_k G^-1].
+_SDP_TOL = 1e-6
+_SDP_POLISH_TOL = 1e-11
+_SDP_CONSTRAINT_TOL = 1e-8
+_SDP_MAX_ITERATIONS = 500
+_SDP_BOUNDARY_FRACTION = 0.98
 
-    Reference for the solver's batched build: every trace is an einsum over
-    the p x m x m constraint stack, with no use of the symmetry of G_k.
+
+def _realify(m):
+    """[[Re M, -Im M], [Im M, Re M]] of each complex k x k matrix in a stack."""
+    k = m.shape[-1]
+    out = np.empty(m.shape[:-2] + (2, k, 2, k))
+    out[..., 0, :, 0, :] = out[..., 1, :, 1, :] = m.real
+    out[..., 1, :, 0, :] = m.imag
+    out[..., 0, :, 1, :] = -m.imag
+    return out.reshape(m.shape[:-2] + (2 * k, 2 * k))
+
+
+def _linv(a):
+    """L^-1 for the lower Cholesky factor L of ``a``, or None where LAPACK's dpotrf stops."""
+    L, info = lapack.dpotrf(a, lower=1)
+    return None if info else lapack.dtrtri(L, lower=1)[0]
+
+
+def _max_step(linv, dp):
+    """Largest step keeping L L^T + a*dp positive definite, within the boundary fraction."""
+    lam_min = float(np.linalg.eigvalsh(linv @ dp @ linv.T)[0])
+    if lam_min >= -1e-14:
+        return 1.0
+    return min(1.0, -_SDP_BOUNDARY_FRACTION / lam_min)
+
+
+def holevo_interior_point(rx0, cols, w):
+    """(value, xi, status, gap, iterations) of the Holevo SDP by an interior-point loop.
+
+    Oracle for the library's dual solve, on its own coordinates: ``rx0`` = R X0
+    is (d r) x n and ``cols`` = (R N)^T is f x (d r), so xi is n x f.  The SDP
+
+        minimize  Tr[W V]  subject to  [[V, (R X)^dag], [R X, I]] >= 0,
+
+    with V real symmetric and R x_u = rx0_u + (R N) xi_u, is realified
+    ([[Re M, -Im M], [Im M, Re M]] >= 0) and solved by a primal-dual
+    path-following method in the dual-scaling flavor: the direction in the
+    variables z comes from M dz = mu tr[G_k G^-1] - c with
+    M_kl = tr[G_k Y G_l G^-1] symmetrized, and the cone multiplier Y follows
+    the linearized complementarity condition.  Its "converged" means the
+    duality gap is within _SDP_TOL and the dual residual within
+    _SDP_CONSTRAINT_TOL, both relative to 1 + |objective|.
     """
-    tr_gk_ginv = np.einsum("kij,ji->k", gk, ginv)
-    t_mats = np.einsum("ab,kbc,cd->kad", y, gk, ginv)
-    mm = np.einsum("kab,lba->kl", gk, t_mats)
-    return 0.5 * (mm + mm.T), tr_gk_ginv
+    r_rank, n = rx0.shape
+    f = cols.shape[0]
+    mc = n + r_rank
+    m = 2 * mc
+    upper = np.triu_indices(n)  # the V_ab, a <= b, in row-major order
+    nv = len(upper[0])
+    p = nv + n * f
+
+    # complex Schur blocks of the G_k: V_ab first, then xi_(mu, l) at nv + mu f + l
+    blk = np.zeros((p, mc, mc), dtype=complex)
+    blk[np.arange(nv), upper[0], upper[1]] = blk[np.arange(nv), upper[1], upper[0]] = 1.0
+    xi_blk = blk[nv:].reshape(n, f, mc, mc)  # a view into blk
+    xi_blk[np.arange(n), :, n:, np.arange(n)] = cols
+    xi_blk[np.arange(n), :, np.arange(n), n:] = cols.conj()
+    gflat = _realify(blk).reshape(p, m * m)
+    cvec = np.zeros(p)
+    cvec[:nv][upper[0] == upper[1]] = w  # Tr[W V] = sum_a w_a V_aa
+
+    g0_blk = np.zeros((mc, mc), dtype=complex)
+    g0_blk[n:, :n] = rx0
+    g0_blk[:n, n:] = rx0.conj().T
+    g0_blk[n:, n:] = np.eye(r_rank)
+    g0 = _realify(g0_blk)
+
+    # strictly feasible start: V beyond the largest eigenvalue of (R X0)^dag (R X0)
+    k0 = rx0.conj().T @ rx0
+    v_shift = 2.0 * max(float(np.max(np.linalg.eigvalsh(k0))), 0.0) + 1.0
+    z = np.zeros(p)
+    z[:nv][upper[0] == upper[1]] = v_shift
+    g = g0 + (z @ gflat).reshape(m, m)
+    y = np.eye(m)
+
+    status = "stalled"  # until converged, or the budget runs out below
+    gap = np.inf
+    iterations = 0
+    sigma = 0.3
+    prev_gap = np.inf
+    for iterations in range(1, _SDP_MAX_ITERATIONS + 1):
+        gap = float(np.sum(y * g))
+        obj = float(cvec @ z)
+        scale = 1.0 + abs(obj)
+        resid = float(np.max(np.abs(gflat @ y.ravel() - cvec)))  # y is symmetric
+        if gap <= _SDP_TOL * scale and resid <= _SDP_CONSTRAINT_TOL * scale:
+            status = "converged"
+            if gap <= _SDP_POLISH_TOL * scale:
+                break
+        if gap <= 0.5 * _SDP_POLISH_TOL * scale:
+            break
+        g_linv, y_linv = _linv(g), _linv(y)
+        if g_linv is None or y_linv is None:
+            break
+        ginv = g_linv.T @ g_linv
+        ginv = 0.5 * (ginv + ginv.T)
+        mu = sigma * gap / m
+        t_mats = y @ gflat.reshape(p, m, m) @ ginv
+        mm = gflat @ t_mats.reshape(p, m * m).T
+        mm = 0.5 * (mm + mm.T)
+        rhs_vec = mu * (gflat @ ginv.ravel()) - cvec
+        try:
+            dz = np.linalg.solve(mm + 1e-14 * np.trace(mm) / p * np.eye(p), rhs_vec)
+        except np.linalg.LinAlgError:
+            break
+        dg = (dz @ gflat).reshape(m, m)
+        dy = mu * ginv - y - 0.5 * (ginv @ dg @ y + y @ dg @ ginv)
+        dy = 0.5 * (dy + dy.T)
+        alpha_z = _max_step(g_linv, dg)
+        alpha_y = _max_step(y_linv, dy)
+        if max(alpha_z, alpha_y) < 1e-10:
+            break
+        z = z + alpha_z * dz
+        g = g0 + (z @ gflat).reshape(m, m)
+        y = y + alpha_y * dy
+        sigma = 0.15 if min(alpha_z, alpha_y) > 0.9 else 0.5
+        if prev_gap / max(gap, 1e-300) < 1.000001 and gap < 1e3 * _SDP_TOL * scale:
+            break  # stalled after reaching the useful accuracy range
+        prev_gap = gap
+    else:
+        if status != "converged":
+            status = "max_iter"
+
+    return float(cvec @ z), z[nv:].reshape(n, f), status, gap, iterations
 
 
 def _spin1_moments(psi, *directions):

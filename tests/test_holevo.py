@@ -6,7 +6,7 @@ from scipy.optimize import minimize
 
 from qmet import holevo
 from qmet.bounds import c_holevo_qubit_pure, c_sld
-from qmet.errors import Infeasible
+from qmet.errors import Infeasible, TooManyParameters
 from qmet.holevo import holevo_bound, verify_sandwich, z_matrix
 from qmet.linalg import spd_inverse
 from qmet.models import (
@@ -15,13 +15,14 @@ from qmet.models import (
     eval_qutrit2,
     eval_qutrit3,
     geometry_vectors,
+    geometry_vectors3,
     qubit2_model,
     qutrit2_model,
     qutrit3_model,
     spin_one_operators,
 )
 
-from helpers import direct_holevo_min, newton_system_by_einsum, qubit_instance
+from helpers import direct_holevo_min, holevo_interior_point, qubit_instance
 
 PAULI = [
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -172,76 +173,22 @@ def _mixed_qubit_problem():
     return rho, [0.5 * np.tensordot(d, np.stack(PAULI), axes=1) for d in (d1, d2)]
 
 
-_NEWTON_PROBLEMS = pytest.mark.parametrize(
-    "problem",
-    [
-        lambda: qubit_problem(0.2, 0.3, 1.7, 1.1)[:2],
-        lambda: _haar_qutrit3_problem(11),
-        _mixed_qubit_problem,
-    ],
-    ids=["pure-qubit", "qutrit3-haar", "mixed-qubit"],
-)
+def _oracle_only(monkeypatch):
+    """Send every solve to the interior-point oracle, on the coordinates the dual solve gets."""
+    monkeypatch.setattr(holevo, "_dual", lambda a, b, w: holevo_interior_point(a, b.T, w))
 
 
-def _loop_only(monkeypatch):
-    """Send every solve to the interior-point loop, on the inputs the exact path would get."""
-    monkeypatch.setattr(holevo, "_exact", lambda a, b, sv, w: holevo._interior_point(a, b.T, w))
+def _assert_certified(sol):
+    assert abs(sol.gap) <= 1e-12 * sol.value
+    assert sol.constraint_residual <= holevo.CONSTRAINT_TOL
 
 
-def _newton_builds(monkeypatch, problem):
-    """Solve ``problem`` by the loop; (gflat, y, ginv, (M, tr[G_k G^-1])) of every Newton build."""
-    _loop_only(monkeypatch)
-    seen = []
-    build = holevo._newton_system
-
-    def spy(gflat, y, ginv):
-        out = build(gflat, y, ginv)
-        seen.append((gflat, y, ginv, out))
-        return out
-
-    monkeypatch.setattr(holevo, "_newton_system", spy)
-    rho, drho = problem()
-    assert holevo.holevo_bound(rho, drho).status == "converged"
-    return seen
-
-
-class TestNewtonSystem:
-    """The GEMM Newton build against the per-trace einsum reference, at every iterate."""
-
-    @_NEWTON_PROBLEMS
-    def test_matches_einsum_reference(self, monkeypatch, problem):
-        seen = _newton_builds(monkeypatch, problem)
-        assert len(seen) >= 5
-        for gflat, y, ginv, (mm, tr_gk_ginv) in seen:
-            m = y.shape[0]
-            ref_mm, ref_tr = newton_system_by_einsum(gflat.reshape(-1, m, m), y, ginv)
-            # entries are sums of products with cancellation, so the rounding
-            # error scales with the largest entry rather than with each entry
-            np.testing.assert_allclose(mm, ref_mm, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref_mm)))
-            np.testing.assert_allclose(
-                tr_gk_ginv, ref_tr, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref_tr))
-            )
-
-    @_NEWTON_PROBLEMS
-    def test_full_rank_at_first_iterate(self, monkeypatch, problem, request):
-        # only the null-space directions the Gram factor sees are variables,
-        # so the Newton matrix is nonsingular without the ridge
-        mm = _newton_builds(monkeypatch, problem)[0][3][0]
-        assert np.linalg.matrix_rank(mm) == mm.shape[0]
-        if "qutrit3" in request.node.callspec.id:
-            assert mm.shape[0] == 9  # 6 entries of V and one direction per parameter
-
-    def test_one_factorization_per_matrix_per_iterate(self, monkeypatch):
-        calls = []
-        dpotrf = holevo.lapack.dpotrf
-
-        def counted(a, **kwargs):
-            calls.append(a.shape)
-            return dpotrf(a, **kwargs)
-
-        monkeypatch.setattr(holevo.lapack, "dpotrf", counted)
-        builds = _newton_builds(monkeypatch, lambda: _haar_qutrit3_problem(11))
-        assert len(calls) == 2 * len(builds)  # G and Y, once each per Newton step
+def _count_trust_region(monkeypatch):
+    """The list that gets one entry per ``_trust_region`` call from now on."""
+    calls = []
+    solve = holevo._trust_region
+    monkeypatch.setattr(holevo, "_trust_region", lambda c, l: calls.append(1) or solve(c, l))
+    return calls
 
 
 class TestSolverContracts:
@@ -295,6 +242,17 @@ class TestSolverContracts:
             holevo_bound(rho, [drho[0], np.eye(2), skew])
         with pytest.raises(ValueError, match="shapes"):
             holevo_bound(rho, [drho[0], np.zeros((3, 3))])
+
+    def test_too_many_parameters(self):
+        # the dual rests on the nuclear norm of an antisymmetric n x n matrix with n <= 3
+        rho, drho = _mixed_qutrit_problem(18, [0.5, 0.3, 0.2], n=4)
+        with pytest.raises(TooManyParameters):
+            holevo_bound(rho, drho)
+        # input validation comes first
+        with pytest.raises(ValueError, match=r"drho\[3\] must be Hermitian"):
+            holevo_bound(rho, drho[:3] + [1j * np.eye(3)])
+        with pytest.raises(ValueError):
+            holevo_bound(rho, drho, np.ones(3))
 
     def test_empty_drho(self):
         rho, _, _ = qubit_problem(0.0, 0.0, np.pi, 1.0)
@@ -380,8 +338,10 @@ class TestTrustRegion:
             else:  # c in the range of H, with |H^-1 c| = 3
                 l_mat = rng.standard_normal((k, nf))
                 c *= 3.0 / np.linalg.norm(np.linalg.solve(l_mat @ l_mat.T, c))
-            eta, objective, gap, steps = holevo._trust_region(c, l_mat)
+            eta, objective, gap, steps, e = holevo._trust_region(c, l_mat)
             assert steps >= 1
+            assert abs(np.linalg.norm(e) - 1.0) <= 1e-13
+            np.testing.assert_allclose(eta, -(l_mat.T @ e), rtol=1e-15, atol=1e-15)
             assert objective == pytest.approx(_tr_objective(c, l_mat, eta), rel=1e-14)
             assert abs(gap) <= 1e-13 * objective
             direct = _tr_direct_min(c, l_mat)
@@ -392,7 +352,7 @@ class TestTrustRegion:
         # every |gam_i| <= lam_i, so the root search starts from |c|; its first Newton
         # step leaves the bracket and the safeguard takes over
         c, l_mat = np.array([0.009, 0.9]), np.diag([0.1, 1.0])
-        eta, objective, gap, steps = holevo._trust_region(c, l_mat)
+        eta, objective, gap, steps, _ = holevo._trust_region(c, l_mat)
         assert steps >= 2
         assert abs(gap) <= 1e-13 * objective
         direct = _tr_direct_min(c, l_mat)
@@ -407,21 +367,22 @@ class TestTrustRegion:
         l_mat = _cross(rng.standard_normal(3)) if nf == "cross" else rng.standard_normal((k, nf))
         v = 1e-2 * rng.standard_normal(l_mat.shape[1])
         c = l_mat @ v
-        eta, objective, gap, steps = holevo._trust_region(c, l_mat)
-        assert steps == 0
+        eta, objective, gap, steps, e = holevo._trust_region(c, l_mat)
+        assert steps == 0 and np.linalg.norm(e) < 1.0
         np.testing.assert_allclose(eta, -np.linalg.pinv(l_mat) @ c, rtol=1e-10, atol=1e-14)
         assert np.linalg.norm(c + l_mat @ eta) <= 1e-14
         assert objective == pytest.approx(_tr_direct_min(c, l_mat), rel=1e-6)
 
     def test_zero_c(self):
         l_mat = np.random.default_rng(23).standard_normal((3, 3))
-        eta, objective, gap, steps = holevo._trust_region(np.zeros(3), l_mat)
-        assert not eta.any() and objective == 0.0 and gap == 0.0 and steps == 0
+        eta, objective, gap, steps, e = holevo._trust_region(np.zeros(3), l_mat)
+        assert not eta.any() and not e.any() and objective == 0.0 and gap == 0.0 and steps == 0
 
     def test_no_free_directions(self):
         # f = 0, the pure qubit: nothing to minimize over, the minimum is 2|c|
-        eta, objective, gap, steps = holevo._trust_region(np.array([-0.7]), np.zeros((1, 0)))
+        eta, objective, gap, steps, e = holevo._trust_region(np.array([-0.7]), np.zeros((1, 0)))
         assert eta.shape == (0,) and objective == pytest.approx(1.4, rel=1e-15)
+        assert e.tolist() == [-1.0]
 
 
 def _weighted_objective(rho, operators, w):
@@ -439,33 +400,53 @@ def _qutrit2_problem(seed):
     return density_and_derivatives(model, [1.3, np.pi / 5.0])
 
 
-def _mixed_qutrit_problem(seed, spectrum):
+def _mixed_qutrit_problem(seed, spectrum, n=2):
     rng = np.random.default_rng(seed)
     j = np.stack(spin_one_operators())
     a = rng.standard_normal((3, len(spectrum))) + 1j * rng.standard_normal((3, len(spectrum)))
     v, _ = np.linalg.qr(a)
     rho = v @ np.diag(spectrum) @ v.conj().T
-    hams = [np.tensordot(rng.standard_normal(3), j, axes=1) for _ in range(2)]
+    hams = [np.tensordot(rng.standard_normal(3), j, axes=1) for _ in range(n)]
     return rho, [-1j * (h @ rho - rho @ h) for h in hams]
 
 
+def _psi_eps_problem(eps):
+    """The three-parameter qutrit at (B, theta, phi, t) = (1, pi/7, pi/5, 1), probed by
+    psi_0 + eps d: psi_0 the lowest eigenvector of J_n(theta, phi), d a fixed complex
+    Gaussian.  As eps falls, Q nears singular and N keeps a direction R barely sees."""
+    p = [1.0, np.pi / 7.0, np.pi / 5.0]
+    n_theta = geometry_vectors3(*p, 1.0)[0]
+    psi0 = np.linalg.eigh(np.tensordot(n_theta, np.stack(spin_one_operators()), axes=1))[1][:, 0]
+    d = np.random.default_rng(0).standard_normal(6).view(complex)
+    return density_and_derivatives(qutrit3_model(psi0 + eps * d, 1.0), p)
+
+
 class TestExactPath:
+    """The dual solve: exact in one step on isotropic input, Newton steps otherwise."""
+
     @pytest.mark.parametrize("weighted", [False, True])
     def test_matches_interior_point(self, monkeypatch, weighted):
         rng = np.random.default_rng(30)
+        problems = [_haar_qutrit3_problem(100 + seed) for seed in range(50)]
+        problems += [_qutrit2_problem(300 + seed) for seed in range(10)]
+        for n in (2, 3):
+            for spectrum in ([0.7, 0.3], [0.5, 0.3, 0.2]):
+                problems += [_mixed_qutrit_problem(400 + seed, spectrum, n) for seed in range(5)]
         cases = []
-        for seed in range(50):
-            rho, drho = _haar_qutrit3_problem(100 + seed)
-            w = rng.uniform(0.2, 5.0, 3) if weighted else None
-            cases.append((rho, drho, w, holevo_bound(rho, drho, w).value))
-        _loop_only(monkeypatch)
+        for rho, drho in problems:
+            w = rng.uniform(0.2, 5.0, len(drho)) if weighted else None
+            sol = holevo_bound(rho, drho, w)
+            assert sol.status == "converged"
+            _assert_certified(sol)
+            cases.append((rho, drho, w, sol.value))
+        _oracle_only(monkeypatch)
         for rho, drho, w, value in cases:
             loop = holevo_bound(rho, drho, w)
             assert loop.status == "converged"
             assert abs(value - loop.value) <= 1e-9 * loop.value
 
     @pytest.mark.parametrize(
-        "problem, exact",
+        "problem, isotropic",
         [
             (lambda: _haar_qutrit3_problem(12), True),
             (lambda: qubit_problem(0.2, 0.3, 1.7, 1.1)[:2], True),
@@ -476,13 +457,15 @@ class TestExactPath:
         ],
         ids=["qutrit3", "pure-qubit", "mixed-qubit", "qutrit2", "rank2-qutrit", "mixed-qutrit"],
     )
-    def test_path_selection(self, monkeypatch, problem, exact):
-        builds = []
-        build = holevo._newton_system
-        monkeypatch.setattr(holevo, "_newton_system", lambda *a: builds.append(1) or build(*a))
+    def test_path_selection(self, monkeypatch, problem, isotropic):
+        # g is quadratic on isotropic input, so its first Newton step is exact and the
+        # last; elsewhere the first step is not exact
+        calls = _count_trust_region(monkeypatch)
         rho, drho = problem()
-        assert holevo_bound(rho, drho).status == "converged"
-        assert (not builds) == exact
+        sol = holevo_bound(rho, drho)
+        assert sol.status == "converged"
+        _assert_certified(sol)
+        assert (len(calls) == 1) if isotropic else (len(calls) >= 2)
 
     def test_operators_attain_value(self):
         rng = np.random.default_rng(31)
@@ -500,34 +483,53 @@ class TestExactPath:
     def test_single_parameter(self, monkeypatch):
         # n = 1: Im Z vanishes whatever f is, so the bound is min Re Z = 1 / Q, and
         # Q = 2 Tr[(d rho)^2] for a pure state
-        builds = []
-        build = holevo._newton_system
-        monkeypatch.setattr(holevo, "_newton_system", lambda *a: builds.append(1) or build(*a))
+        calls = _count_trust_region(monkeypatch)
         rho, drho = _haar_qutrit3_problem(16)
         sol = holevo_bound(rho, [drho[0]])
-        assert not builds and sol.iterations == 0
+        assert len(calls) == 1 and sol.iterations == 0
         q = 2.0 * np.trace(drho[0] @ drho[0]).real
         assert sol.value == pytest.approx(1.0 / q, rel=1e-10)
 
 
+class TestNearlyDegenerateProbe:
+    """psi_eps rows: a null-space direction R barely sees must not spoil the certificate."""
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-4, 1e-5, 1e-6, 1e-7])
+    def test_certified(self, eps):
+        sol = holevo_bound(*_psi_eps_problem(eps))
+        assert sol.status == "converged"
+        _assert_certified(sol)
+
+    def test_infeasible_at_rounding_level(self):
+        # E X0 - rhs exceeds CONSTRAINT_TOL by rounding here, not by a rank decision
+        with pytest.raises(Infeasible):
+            holevo_bound(*_psi_eps_problem(1e-8))
+
+
 class TestLoopStatus:
     def test_early_exit_is_stalled(self, monkeypatch):
-        calls = []
-        linv = holevo._linv
+        # from the second step on, the Newton step returns the point the first step
+        # reached, so it raises g by no fraction and the solve stops uncertified
+        solve = holevo._trust_region
+        reached = []
 
-        def failing(a):
-            calls.append(1)
-            return None if len(calls) == 3 else linv(a)
+        def stuck(c, l_mat):
+            out = solve(c, l_mat)
+            reached.append(out[4])
+            return out[:4] + (reached[0],)
 
-        monkeypatch.setattr(holevo, "_linv", failing)
+        monkeypatch.setattr(holevo, "_trust_region", stuck)
         rho, drho = _qutrit2_problem(17)
         sol = holevo_bound(rho, drho)
         assert sol.status == "stalled"
-        assert sol.iterations == 2
+        assert len(reached) == 2
+        assert sol.gap > 1e-12 * sol.value
 
     def test_exhausted_budget_is_max_iter(self, monkeypatch):
-        monkeypatch.setattr(holevo, "MAX_ITERATIONS", 3)
+        monkeypatch.setattr(holevo, "MAX_ITERATIONS", 1)
+        calls = _count_trust_region(monkeypatch)
         rho, drho = _qutrit2_problem(17)
         sol = holevo_bound(rho, drho)
         assert sol.status == "max_iter"
-        assert sol.iterations == 3
+        assert len(calls) == 1
+        assert sol.gap > 1e-12 * sol.value

@@ -57,3 +57,43 @@ def test_no_dead_private_helpers():
         and node.name not in used
     ]
     assert private == []
+
+
+def _assigned_names(node):
+    """Names an assignment statement binds or mutates through a subscript or attribute."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    else:
+        return
+    for target in targets:
+        while isinstance(target, (ast.Subscript, ast.Attribute)):
+            target = target.value
+        if isinstance(target, ast.Name):
+            yield target.id
+
+
+def test_no_dead_constants():
+    # a module-level UPPER_CASE or _UPPER_CASE constant that nothing in the
+    # package reads is left over from a removed code path; the statements that
+    # build a constant do not count as reading it
+    constants, loaded = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for stmt in tree.body:
+            own = set(_assigned_names(stmt))
+            for name in own:
+                if name.lstrip("_").isupper():
+                    constants.setdefault(name, path.name)
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    name = node.attr
+                else:
+                    continue
+                if name not in own:
+                    loaded.add(name)
+    dead = [f"{path}: {name}" for name, path in sorted(constants.items()) if name not in loaded]
+    assert dead == []
