@@ -38,7 +38,6 @@ from .bounds import (
 )
 from .errors import (
     ConfigParseError,
-    Infeasible,
     NoConvergence,
     NotApplicable,
     QmetError,
@@ -100,7 +99,6 @@ __all__ = [
     "ConfigParseError",
     "DpTables",
     "HolevoSolution",
-    "Infeasible",
     "ModelEvaluation",
     "NoConvergence",
     "NotApplicable",

@@ -9,20 +9,16 @@ class SingularQfim(QmetError):
     """A QFIM, or any matrix factored under the pivot rule, is singular.
 
     The one error of the package's one singularity rule: a squared
-    Cholesky pivot is non-finite or at or below ``linalg.pivot_tol``.
+    Cholesky or QR pivot is non-finite or at or below ``linalg.pivot_tol``.
     """
 
 
 class TooManyParameters(QmetError):
-    """Parameter count exceeds the guard of an ordering-search routine."""
+    """Parameter count exceeds the guard of an order search or of holevo_bound."""
 
 
 class NotApplicable(QmetError):
     """A closed-form bound was requested outside its domain of validity."""
-
-
-class Infeasible(QmetError):
-    """The local-unbiasedness constraint system has no solution."""
 
 
 class NoConvergence(QmetError):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import c_holevo_qubit_pure, c_sld, c_t as c_t_bound, quantumness_R
-from .errors import Infeasible, NoConvergence, SingularQfim
+from .errors import NoConvergence, SingularQfim
 from .holevo import holevo_bound
 from .linalg import qfim
 from .models import (
@@ -81,8 +81,8 @@ SCATTER_HEADER = [
 def scatter_row(index, params, probe):
     """One scatter point: minimum-order stepwise bound and Holevo bound.
 
-    Failures never abort a sweep: singular QFIMs, infeasible constraint
-    systems and unconverged solves come back as flagged rows.
+    Failures never abort a sweep: a QFIM singular under the pivot rule of
+    either bound and an unconverged solve come back as flagged rows.
     """
     b, theta, phi, t = params
     ev = eval_qutrit3(b, theta, phi, t, probe)
@@ -92,17 +92,13 @@ def scatter_row(index, params, probe):
     try:
         res = best_order_dp(ev.q)
         c_sep_min, best_ordering = res.value, res.ordering
+        rho, drho = density_and_derivatives(qutrit3_model(probe, t), [b, theta, phi])
+        sol = holevo_bound(rho, drho)
+        c_h, c_h_status = sol.value, sol.status
+        if sol.status != "converged":
+            flag = "sdp_" + sol.status
     except SingularQfim:
         flag = "singular_qfim"
-    if flag == "ok":
-        try:
-            rho, drho = density_and_derivatives(qutrit3_model(probe, t), [b, theta, phi])
-            sol = holevo_bound(rho, drho)
-            c_h, c_h_status = sol.value, sol.status
-            if sol.status != "converged":
-                flag = "sdp_" + sol.status
-        except Infeasible:
-            flag = "infeasible"
     return ScatterRow(
         index=index, b=b, theta=theta, phi=phi, t=t, probe=np.asarray(probe),
         c_h=c_h, c_h_status=c_h_status, c_sep_min=c_sep_min,

@@ -1,20 +1,21 @@
-"""Numerical Holevo bound for n <= 3 parameters, by its concave dual on the unit ball.
+"""Numerical Holevo bound of a pure model with n <= 3 parameters, by its concave dual.
 
-The bound minimizes ``Tr[W Re Z] + ||sqrt(W) Im Z sqrt(W)||_1`` with
-``Z_uv = Tr[rho X_u X_v]`` over Hermitian observable families satisfying
-the local unbiasedness conditions ``Tr[d_v rho X_u] = delta_uv`` and
-``Tr[rho X_u] = 0``, following Albarelli, Friel & Datta, PRL 123, 200503
-(2019).  Each X_u is expanded in an orthonormal Hermitian operator basis,
-and R x = vec(X V_r Lambda_r^1/2) for rho = V_r Lambda_r V_r^dag at its
-numerical rank r, so Z = (R X)^dag (R X).  One eigendecomposition of rho
-serves both the PSD check and R.  The unbiasedness constraints are affine
-and eliminated up front by one SVD: X = X0 + N xi, with X0 their
-least-norm solution and N an orthonormal basis of the null-space
-directions that R sees.  Directions R maps to zero change X but not Z, so
-they are dropped.  The three rank decisions (rho, the constraints, R N)
-share the relative cut RANK_TOL.  With A = R X0 and B = R N, every
-feasible family has R x_u = A_u + B xi_u (Matsumoto's vector form for a
-pure state, J. Phys. A 35, 3111 (2002)), and xi is n x f.
+The bound minimizes ``Tr[W Re Z] + ||sqrt(W) Im Z sqrt(W)||_1`` over
+Hermitian families X_u with ``Tr[d_v rho X_u] = delta_uv`` and
+``Tr[rho X_u] = 0`` (Albarelli, Friel & Datta, PRL 123, 200503 (2019)).
+For rho = |psi><psi| it takes Matsumoto's vector form (J. Phys. A 35,
+3111 (2002)): with x_u = X_u psi, Z_uv = <x_u|x_v>, and in the real
+inner product of r(x) = [Re x; Im x] the family is feasible when each
+x_u is orthogonal to r(psi) and r(i psi) and F x_u = e_u, where
+F_v = 2 r(P d_v psi), P = 1 - rho; X_u = |x_u><psi| + |psi><x_u|.
+
+One eigh of rho checks it and gives psi, and P d_v psi = (1 - rho) d_v rho
+psi.  One Householder QR of the 2d x (n + 2) matrix [r(psi), r(i psi), F^T]
+gives the rest: Q = F F^T = R_F^T R_F, whose squared pivots diag(R_F)^2 go
+through the package's singularity rule (``linalg._require_pivots``); the
+least-norm family X0 = Q_F R_F^-T; and in the last f = 2d - 2 - n columns an
+orthonormal basis N of the free directions.  As complex d-vectors A = X0 and
+B = N, every feasible family is x_u = A_u + B xi_u, xi n x f, Re(B^dag B) = I.
 
 For n <= 3 the nuclear norm of the antisymmetric sqrt(W) Im Z sqrt(W) is
 2|m|, with m_k = sqrt(w_u w_v) Im Z_uv over the k = n(n-1)/2 pairs u < v,
@@ -31,26 +32,23 @@ subproblem max_{|e| <= 1} 2 c^T e - e^T L L^T e with L L^T = D^T H^+ D,
 solved by one k x k eigh and a safeguarded root of its secular equation.
 A step is halved until g rises or the gap narrows, where the gap is the
 primal objective at xi* minus g(e), zero at the saddle point.  H is
-factored by eigh with the RANK_TOL cut, not whitened by the singular
-values of B, so a direction of N that R barely sees stays inert.
+factored by eigh with the RANK_TOL cut.
 
 When Im(B^dag B) = 0 (within RANK_TOL of its largest entry), and always
-for n = 1, H does not depend on e and g is quadratic, so the first step
-is exact and the solve stops.  That covers every pure qubit (f = 0) and
-pure three-parameter qutrit (f = 1).  Re(B^dag B) is diagonal by
-construction of N, so H needs no factorization there.
+for n = 1, H = W (x) I does not depend on e and needs no factorization, and
+g is quadratic, so the first step is exact and the solve stops.  That
+covers every pure qubit (f = 0) and pure three-parameter qutrit (f = 1).
 """
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .bounds import c_sld, c_t
-from .errors import Infeasible, TooManyParameters
-from .linalg import qfim, weights
-from .models import hermitian_operator_basis
+from .errors import NotApplicable, TooManyParameters
+from .linalg import _require_pivots, qfim, weights
 
 CONSTRAINT_TOL = 1e-8
 GAP_TOL = 1e-12
@@ -96,7 +94,7 @@ class HolevoSolution:
 
 
 def _validate_inputs(rho, drho):
-    """Checked rho, its eigenvalues and eigenvectors, and drho; eigh(rho) also gives R."""
+    """Checked rho, its eigenvalues and eigenvectors, and drho; eigh(rho) also gives psi."""
     if len(drho) == 0:
         raise ValueError("drho must hold at least one derivative")
     rho = np.asarray(rho, dtype=complex)
@@ -123,79 +121,54 @@ def _validate_inputs(rho, drho):
     return rho, evals, evecs, out
 
 
-@lru_cache(maxsize=None)
-def _operator_basis(d):
-    """:func:`models.hermitian_operator_basis` of dimension d as one read-only nb x d x d array."""
-    stacked = np.array(hermitian_operator_basis(d))
-    stacked.flags.writeable = False
-    return stacked
-
-
 def holevo_bound(rho, drho, w=None):
-    """Holevo bound of a (pure or mixed) model given rho and its n <= 3 derivatives.
+    """Holevo bound of a pure model given rho = |psi><psi| and its n <= 3 derivatives.
 
-    ``w`` is the weight vector of :func:`linalg.weights`, W = diag(w).
-    Raises ValueError for invalid input, including an empty ``drho``;
-    TooManyParameters for n > 3, after validating the input; and Infeasible
-    when the unbiasedness system has no solution (the model is not locally
-    identifiable).  A solve that stops without a certificate returns its
-    last value with status "max_iter" or "stalled" and the reached gap,
-    rather than raising.
+    ``w`` is the weight vector of :func:`linalg.weights`, W = diag(w).  Raises, in
+    this order: ValueError for invalid input, including an empty ``drho``;
+    TooManyParameters for n > 3; NotApplicable when rho's second eigenvalue is
+    above RANK_TOL times its largest; and SingularQfim when the QFIM breaks the
+    package's pivot rule, so no unbiased family exists.  A solve that stops
+    without a certificate returns its last value, status "max_iter" or "stalled"
+    and the reached gap.
     """
     rho, evals, evecs, drho = _validate_inputs(rho, drho)
     n = len(drho)
     w = weights(w, n)
     if n > 3:
         raise TooManyParameters(f"holevo_bound is defined for n <= 3, got n = {n}")
-    stacked = _operator_basis(rho.shape[0])  # nb x d x d
-    nb = len(stacked)
+    if evals[:-1].max(initial=0.0) > RANK_TOL * evals[-1]:
+        raise NotApplicable("holevo_bound takes a pure state: rho has rank above one")
+    d, psi = len(evals), evecs[:, -1]
     e_ops = np.array(drho + [rho])  # d_1 rho, ..., d_n rho, rho
 
-    # unbiasedness constraints E x_u = (e_u; 0), stacked over the basis: one
-    # SVD gives the least-norm solution X0 and the null space; X0 is
-    # feasible when it satisfies the constraints as evaluated in floating point
-    e_mat = np.einsum("kab,iba->ki", e_ops, stacked).real
-    rhs = np.eye(n + 1, n)
-    u_e, sv, vt = np.linalg.svd(e_mat)
-    rank = int(np.sum(sv > RANK_TOL * sv[0]))
-    x0 = vt[:rank].T @ ((u_e[:, :rank].T @ rhs) / sv[:rank, None])  # nb x n
-    if np.abs(e_mat @ x0 - rhs).max() > CONSTRAINT_TOL:
-        raise Infeasible("local unbiasedness constraints have no solution")
-
-    # Gram factor R: column i is vec(b_i V_r Lambda_r^1/2), so R^dag R = Tr[rho b_i b_j]
-    keep = evals > RANK_TOL * evals[-1]
-    r_fact = (stacked @ (evecs[:, keep] * np.sqrt(evals[keep]))).reshape(nb, -1).T
-
-    # orthonormal basis of the null-space directions R sees, cut relative to
-    # sqrt(lambda_max(rho)), which bounds the norm of R
-    r_null = r_fact @ vt[rank:].T
-    _, sv_r, wt = np.linalg.svd(np.vstack([r_null.real, r_null.imag]), full_matrices=False)
-    wt = wt[: int(np.sum(sv_r > RANK_TOL * np.sqrt(evals[-1])))]
-    nullspace = vt[rank:].T @ wt.T  # nb x f
-    # A = R X0 and B = R N, one column per null-space basis direction
-    value, xi, status, gap, iterations = _dual(r_fact @ x0, r_null @ wt.T, w)
-
-    coeffs = (x0 + nullspace @ xi.T).T  # n x nb
-    operators = (coeffs @ stacked.reshape(nb, -1)).reshape((n,) + stacked.shape[1:])  # n x d x d
+    # realified columns r(psi), r(i psi) and F_v = 2 r(P d_v psi); zero rows pad
+    # a model with n > 2d - 2, whose QFIM is singular, to a square R
+    drho_psi = e_ops[:n] @ psi  # row v is d_v rho psi
+    cols = np.column_stack([psi, 1j * psi, 2.0 * (drho_psi - drho_psi @ rho.T).T])
+    m = np.zeros((max(2 * d, n + 2), n + 2))
+    m[:d], m[d : 2 * d] = cols.real, cols.imag
+    q_fact, r_fact = np.linalg.qr(m, mode="complete")
+    r_f = r_fact[2 : n + 2, 2:]
+    _require_pivots(r_f.diagonal() ** 2, (m[:, 2:] ** 2).sum(axis=0))  # diag Q = |F_v|^2
+    x0 = lapack.dtrtrs(r_f, q_fact[:, 2 : n + 2].T)[0].T  # Q_F R_F^-T
+    null = q_fact[:, n + 2 :]
+    a, b = x0[:d] + 1j * x0[d:], null[:d] + 1j * null[d:]  # A = X0, B = N as d-vectors
+    value, xi, status, gap, iterations = _dual(a, b, w)
+    ket_bra = (a + b @ xi.T).T[:, :, None] * psi.conj()  # |x_u><psi|, x_u = A_u + B xi_u
+    operators = ket_bra + ket_bra.conj().transpose(0, 2, 1)  # n x d x d
     # residual of Tr[d_v rho X_u] = delta_uv and Tr[rho X_u] = 0, from the operators
     traces = np.einsum("kab,uba->uk", e_ops, operators).real
     resid = float(np.abs(traces - np.eye(n, n + 1)).max())
     if status == "converged" and resid > CONSTRAINT_TOL:
         status = "stalled"
-    return HolevoSolution(
-        value=value,
-        operators=operators,
-        status=status,
-        gap=gap,
-        iterations=iterations,
-        constraint_residual=resid,
-    )
+    return HolevoSolution(value, operators, status, gap, iterations, constraint_residual=resid)
 
 
 def _dual(a, b, w):
     """(value, xi, status, gap, iterations) of the bound by Newton steps on g(e).
 
-    ``a`` = R X0 is (d r) x n and ``b`` = R N is (d r) x f; xi is n x f.
+    ``a`` = X0 is d x n and ``b`` = N is d x f, as complex d-vectors; xi is n x f.
     ``status`` is "converged" when |gap| <= GAP_TOL * value.
     """
     n, f = a.shape[1], b.shape[1]

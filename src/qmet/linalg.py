@@ -2,14 +2,14 @@
 
 All matrices are plain numpy arrays, and information matrices have
 n <= 20.  Every decision on whether a QFIM is singular goes through one
-LAPACK Cholesky factorization (:func:`_cholesky`) and one rule: a
-matrix is singular when a squared pivot diag(L)^2 is non-finite or at or
+rule, :func:`_require_pivots`: a squared pivot diag(L)^2 of Q = L L^T, from
+LAPACK's Cholesky (:func:`_cholesky`) or a QR of L^T, is non-finite or at or
 below :func:`pivot_tol`.
 
 A QFIM is validated and factored once, by :func:`qfim`, into a read-only
 :class:`Qfim` that carries Q, its factor L and L^-1.  Every function of
 the package that takes a QFIM accepts either a matrix or a ``Qfim``.  The
-rule has one error, ``SingularQfim``, raised by :func:`_cholesky`;
+rule has one error, ``SingularQfim``, raised by :func:`_require_pivots`;
 :func:`cholesky` and :func:`spd_inverse` are read off a ``Qfim``, and only
 :func:`determinant` falls back, to an LU determinant, instead of raising.
 Weights are one positive vector w, W = diag(w), validated by :func:`weights`.
@@ -33,8 +33,22 @@ def pivot_tol(m) -> float:
     Scaled to the matrix: ``1e-12 * max(diag)``, floored at zero.  It does
     not change when the matrix is symmetrically permuted.
     """
-    m = np.asarray(m, dtype=float)
-    return PIVOT_TOL_FACTOR * max(float(m.diagonal().max()), 0.0)
+    return _diagonal_tol(np.asarray(m, dtype=float).diagonal())
+
+
+def _diagonal_tol(diagonal) -> float:  # pivot_tol of a matrix with this diagonal
+    return PIVOT_TOL_FACTOR * max(float(diagonal.max()), 0.0)
+
+
+def _require_pivots(squared, diagonal):
+    """The singularity rule: raise SingularQfim at the first squared pivot of a matrix with
+    this diagonal that is non-finite or at or below its :func:`pivot_tol`."""
+    tol = _diagonal_tol(diagonal)
+    ok = squared > tol  # NaN compares False
+    if not ok.all():
+        j = int(np.argmin(ok))  # the first False
+        raise SingularQfim(f"squared pivot at index {j} is non-finite or at or below tolerance "
+                           f"{tol:.3e}")
 
 
 def symmetrize(m) -> np.ndarray:
@@ -65,20 +79,13 @@ def _checked_symmetric(m, name="matrix") -> np.ndarray:
 def _cholesky(a) -> np.ndarray:
     """Lower Cholesky factor of the symmetric float matrix ``a``, without validation.
 
-    Applies the package's singularity rule and raises SingularQfim
-    naming the first squared pivot that is non-finite or at or below
-    :func:`pivot_tol`, or at which LAPACK stops.
+    Raises SingularQfim under :func:`_require_pivots`, also at a pivot where LAPACK stops.
     """
-    tol = pivot_tol(a)
     L, info = lapack.dpotrf(a, lower=1)
-    # LAPACK stops at the 1-based pivot ``info`` (0: it did not stop); the
-    # pivots before that one are complete
-    ok = (L.diagonal()[:info - 1] if info else L.diagonal()) ** 2 > tol  # NaN compares False
-    if info or not ok.all():
-        j = info - 1 if ok.all() else int(np.argmin(ok))  # the first False
-        raise SingularQfim(
-            f"squared pivot at index {j} is non-finite or at or below tolerance {tol:.3e}"
-        )
+    squared = L.diagonal() ** 2
+    if info:  # LAPACK stops at the 1-based pivot ``info``; it and later ones fail as NaN
+        squared[info - 1:] = np.nan
+    _require_pivots(squared, a.diagonal())
     return L
 
 

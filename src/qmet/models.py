@@ -22,8 +22,8 @@ time ``t`` is a known constant of the model.  Parameter ordering is
 
 Evaluators return Q as computed, singular or not; a caller that must
 reject a degenerate model calls ``linalg.qfim(ev.q)``, which applies the
-package's one pivot rule.  :func:`hermitian_operator_basis` is the
-generalized Gell-Mann basis used by the Holevo SDP.
+package's one pivot rule.  :func:`hermitian_operator_basis` is the generalized
+Gell-Mann basis, :func:`gell_mann_basis` for d = 3, used by :func:`qutrit_coherence`.
 """
 
 from dataclasses import dataclass

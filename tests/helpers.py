@@ -211,12 +211,13 @@ def _max_step(linv, dp):
 def holevo_interior_point(rx0, cols, w):
     """(value, xi, status, gap, iterations) of the Holevo SDP by an interior-point loop.
 
-    Oracle for the library's dual solve, on its own coordinates: ``rx0`` = R X0
-    is (d r) x n and ``cols`` = (R N)^T is f x (d r), so xi is n x f.  The SDP
+    Oracle for the library's dual solve, on its own coordinates: ``rx0`` = X0
+    is d x n and ``cols`` = N^T is f x d, the least-norm family and the free
+    directions as complex d-vectors, so xi is n x f.  The SDP
 
-        minimize  Tr[W V]  subject to  [[V, (R X)^dag], [R X, I]] >= 0,
+        minimize  Tr[W V]  subject to  [[V, X^dag], [X, I]] >= 0,
 
-    with V real symmetric and R x_u = rx0_u + (R N) xi_u, is realified
+    with V real symmetric and x_u = rx0_u + N xi_u, is realified
     ([[Re M, -Im M], [Im M, Re M]] >= 0) and solved by a primal-dual
     path-following method in the dual-scaling flavor: the direction in the
     variables z comes from M dz = mu tr[G_k G^-1] - c with
@@ -249,7 +250,7 @@ def holevo_interior_point(rx0, cols, w):
     g0_blk[n:, n:] = np.eye(r_rank)
     g0 = _realify(g0_blk)
 
-    # strictly feasible start: V beyond the largest eigenvalue of (R X0)^dag (R X0)
+    # strictly feasible start: V beyond the largest eigenvalue of X0^dag X0
     k0 = rx0.conj().T @ rx0
     v_shift = 2.0 * max(float(np.max(np.linalg.eigvalsh(k0))), 0.0) + 1.0
     z = np.zeros(p)

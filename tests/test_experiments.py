@@ -184,6 +184,18 @@ class TestScatter:
         assert row.c_h_status == status
         assert row.flag == "sdp_" + status
 
+    def test_singular_holevo_flagged(self, monkeypatch):
+        # one handler serves both bounds: a SingularQfim from the Holevo solve
+        # flags the row instead of aborting the sweep
+        def singular(*args):
+            raise SingularQfim("squared pivot at index 0 is at or below tolerance")
+
+        monkeypatch.setattr(experiments, "holevo_bound", singular)
+        probe = haar_pure_state(3, np.random.default_rng(3))
+        row = scatter_row(0, (1.0, np.pi / 7.0, np.pi / 5.0, 1.0), probe)
+        assert row.flag == "singular_qfim"
+        assert np.isnan(row.c_h) and row.c_h_status == ""
+
     def test_multi_param_sets(self):
         rows, _ = run_scatter_study(n_states=3, seed=9, multi_params=2)
         assert len(rows) == 6

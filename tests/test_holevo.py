@@ -6,7 +6,7 @@ from scipy.optimize import minimize
 
 from qmet import holevo
 from qmet.bounds import c_holevo_qubit_pure, c_sld
-from qmet.errors import Infeasible, TooManyParameters
+from qmet.errors import NotApplicable, SingularQfim, TooManyParameters
 from qmet.holevo import holevo_bound, verify_sandwich, z_matrix
 from qmet.linalg import spd_inverse
 from qmet.models import (
@@ -21,6 +21,7 @@ from qmet.models import (
     qutrit3_model,
     spin_one_operators,
 )
+from qmet.stepwise import best_order_bruteforce, best_order_dp, csep_ordered
 
 from helpers import direct_holevo_min, holevo_interior_point, qubit_instance
 
@@ -113,40 +114,6 @@ class TestAgainstDirectMinimization:
             oracle = direct_holevo_min(rho, drho)
             assert abs(sol.value - oracle) / oracle <= 1e-6
 
-    def test_mixed_qubit(self):
-        # rank-2 states: the solver is not restricted to pure models
-        rng = np.random.default_rng(7)
-        checked = 0
-        while checked < 4:
-            r = rng.uniform(-0.55, 0.55, 3)
-            if r @ r > 0.85:
-                continue
-            rho = 0.5 * (np.eye(2) + np.tensordot(r, np.stack(PAULI), axes=1))
-            drho = [
-                0.5 * np.tensordot(rng.uniform(-0.5, 0.5, 3), np.stack(PAULI), axes=1)
-                for _ in range(2)
-            ]
-            sol = holevo_bound(rho, drho)
-            assert sol.status == "converged"
-            oracle = direct_holevo_min(rho, drho)
-            assert abs(sol.value - oracle) / oracle <= 1e-6
-            checked += 1
-
-    def test_rank_deficient_mixed_qutrit(self):
-        # singular rho (rank 2 < d = 3): the Gram factor R has d r = 6 rows
-        rng = np.random.default_rng(9)
-        j = np.stack(spin_one_operators())
-        for _ in range(2):
-            a = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-            v, _ = np.linalg.qr(a)
-            rho = v @ np.diag([0.7, 0.3]) @ v.conj().T
-            hams = [np.tensordot(rng.standard_normal(3), j, axes=1) for _ in range(2)]
-            drho = [-1j * (h @ rho - rho @ h) for h in hams]
-            sol = holevo_bound(rho, drho)
-            assert sol.status == "converged"
-            oracle = direct_holevo_min(rho, drho)
-            assert abs(sol.value - oracle) / oracle <= 1e-6
-
     def test_three_parameter_qutrit(self):
         rng = np.random.default_rng(8)
         for _ in range(2):
@@ -164,13 +131,6 @@ def _haar_qutrit3_problem(seed):
     z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     model = qutrit3_model(z / np.linalg.norm(z), 1.0)
     return density_and_derivatives(model, [1.0, np.pi / 7.0, np.pi / 5.0])
-
-
-def _mixed_qubit_problem():
-    # Bloch vectors of rho (|r| < 1, so rank 2) and of its two derivatives
-    r, d1, d2 = [0.3, -0.2, 0.4], [0.2, 0.1, -0.3], [-0.1, 0.4, 0.2]
-    rho = 0.5 * (np.eye(2) + np.tensordot(r, np.stack(PAULI), axes=1))
-    return rho, [0.5 * np.tensordot(d, np.stack(PAULI), axes=1) for d in (d1, d2)]
 
 
 def _oracle_only(monkeypatch):
@@ -221,10 +181,30 @@ class TestSolverContracts:
         assert a.iterations == b.iterations
 
     def test_infeasible_model(self):
-        # second derivative identically zero: parameter two is invisible
+        # second derivative identically zero: parameter two is invisible, and the
+        # QFIM breaks the pivot rule
         rho, drho, _ = qubit_problem(0.0, 0.0, np.pi, 1.0)
-        with pytest.raises(Infeasible):
+        with pytest.raises(SingularQfim):
             holevo_bound(rho, [drho[0], np.zeros((2, 2))])
+        # a pure qubit has 2d - 2 = 2 free real directions, so a third parameter
+        # leaves Q singular, whatever its derivative
+        with pytest.raises(SingularQfim):
+            holevo_bound(rho, drho + [0.5j * (drho[0] @ rho - rho @ drho[0]) + drho[1]])
+
+    def test_mixed_state_not_applicable(self):
+        # the solver takes pure states only; a rank-2 qubit and a rank-2 qutrit
+        # Bloch vectors of the qubit (|r| < 1) and of its two derivatives
+        r, d1, d2 = [0.3, -0.2, 0.4], [0.2, 0.1, -0.3], [-0.1, 0.4, 0.2]
+        qubit = 0.5 * (np.eye(2) + np.tensordot(r, np.stack(PAULI), axes=1))
+        qubit_drho = [0.5 * np.tensordot(d, np.stack(PAULI), axes=1) for d in (d1, d2)]
+        for rho, drho in [(qubit, qubit_drho), _mixed_qutrit_problem(14, [0.7, 0.3])]:
+            with pytest.raises(NotApplicable):
+                holevo_bound(rho, drho)
+            # input validation comes first
+            with pytest.raises(ValueError, match=r"drho\[1\] must be traceless"):
+                holevo_bound(rho, [drho[0], np.eye(len(rho))])
+            with pytest.raises(ValueError, match="weights"):
+                holevo_bound(rho, drho, [1.0, -1.0])
 
     def test_input_validation(self):
         rho, drho, _ = qubit_problem(0.0, 0.0, np.pi, 1.0)
@@ -245,12 +225,12 @@ class TestSolverContracts:
 
     def test_too_many_parameters(self):
         # the dual rests on the nuclear norm of an antisymmetric n x n matrix with n <= 3
-        rho, drho = _mixed_qutrit_problem(18, [0.5, 0.3, 0.2], n=4)
+        rho, drho = _random_pure_problem(18, 4, 4)
         with pytest.raises(TooManyParameters):
             holevo_bound(rho, drho)
         # input validation comes first
         with pytest.raises(ValueError, match=r"drho\[3\] must be Hermitian"):
-            holevo_bound(rho, drho[:3] + [1j * np.eye(3)])
+            holevo_bound(rho, drho[:3] + [1j * np.eye(4)])
         with pytest.raises(ValueError):
             holevo_bound(rho, drho, np.ones(3))
 
@@ -400,25 +380,44 @@ def _qutrit2_problem(seed):
     return density_and_derivatives(model, [1.3, np.pi / 5.0])
 
 
-def _mixed_qutrit_problem(seed, spectrum, n=2):
+def _random_pure_problem(seed, d, n):
+    """rho = |psi><psi| of a Haar psi in dimension d with d_k psi = -i H_k psi for
+    n Gaussian Hermitian H_k: a pure model with no structure, where Im(B^dag B) != 0."""
+    rng = np.random.default_rng(seed)
+    psi = rng.standard_normal(2 * d).view(complex)
+    psi /= np.linalg.norm(psi)
+    rho = np.outer(psi, psi.conj())
+    drho = []
+    for _ in range(n):
+        a = rng.standard_normal(2 * d * d).view(complex).reshape(d, d)
+        dpsi = -1j * (a + a.conj().T) @ psi
+        drho.append(np.outer(dpsi, psi.conj()) + np.outer(psi, dpsi.conj()))
+    return rho, drho
+
+
+def _mixed_qutrit_problem(seed, spectrum):
     rng = np.random.default_rng(seed)
     j = np.stack(spin_one_operators())
     a = rng.standard_normal((3, len(spectrum))) + 1j * rng.standard_normal((3, len(spectrum)))
     v, _ = np.linalg.qr(a)
     rho = v @ np.diag(spectrum) @ v.conj().T
-    hams = [np.tensordot(rng.standard_normal(3), j, axes=1) for _ in range(n)]
+    hams = [np.tensordot(rng.standard_normal(3), j, axes=1) for _ in range(2)]
     return rho, [-1j * (h @ rho - rho @ h) for h in hams]
 
 
-def _psi_eps_problem(eps):
-    """The three-parameter qutrit at (B, theta, phi, t) = (1, pi/7, pi/5, 1), probed by
-    psi_0 + eps d: psi_0 the lowest eigenvector of J_n(theta, phi), d a fixed complex
-    Gaussian.  As eps falls, Q nears singular and N keeps a direction R barely sees."""
-    p = [1.0, np.pi / 7.0, np.pi / 5.0]
-    n_theta = geometry_vectors3(*p, 1.0)[0]
+PSI_EPS_PARAMS = [1.0, np.pi / 7.0, np.pi / 5.0]  # (B, theta, phi), with t = 1
+
+
+def _psi_eps_probe(eps):
+    """psi_0 + eps d: psi_0 the lowest eigenvector of J_n(theta, phi), d a fixed complex
+    Gaussian.  As eps falls, Q of the three-parameter qutrit nears singular."""
+    n_theta = geometry_vectors3(*PSI_EPS_PARAMS, 1.0)[0]
     psi0 = np.linalg.eigh(np.tensordot(n_theta, np.stack(spin_one_operators()), axes=1))[1][:, 0]
-    d = np.random.default_rng(0).standard_normal(6).view(complex)
-    return density_and_derivatives(qutrit3_model(psi0 + eps * d, 1.0), p)
+    return psi0 + eps * np.random.default_rng(0).standard_normal(6).view(complex)
+
+
+def _psi_eps_problem(eps):
+    return density_and_derivatives(qutrit3_model(_psi_eps_probe(eps), 1.0), PSI_EPS_PARAMS)
 
 
 class TestExactPath:
@@ -429,9 +428,8 @@ class TestExactPath:
         rng = np.random.default_rng(30)
         problems = [_haar_qutrit3_problem(100 + seed) for seed in range(50)]
         problems += [_qutrit2_problem(300 + seed) for seed in range(10)]
-        for n in (2, 3):
-            for spectrum in ([0.7, 0.3], [0.5, 0.3, 0.2]):
-                problems += [_mixed_qutrit_problem(400 + seed, spectrum, n) for seed in range(5)]
+        for d, n in ((4, 2), (4, 3), (5, 3)):
+            problems += [_random_pure_problem(400 + 10 * d + n + seed, d, n) for seed in range(5)]
         cases = []
         for rho, drho in problems:
             w = rng.uniform(0.2, 5.0, len(drho)) if weighted else None
@@ -450,12 +448,10 @@ class TestExactPath:
         [
             (lambda: _haar_qutrit3_problem(12), True),
             (lambda: qubit_problem(0.2, 0.3, 1.7, 1.1)[:2], True),
-            (_mixed_qubit_problem, True),  # f = 1 as well
             (lambda: _qutrit2_problem(13), False),
-            (lambda: _mixed_qutrit_problem(14, [0.7, 0.3]), False),
-            (lambda: _mixed_qutrit_problem(15, [0.5, 0.3, 0.2]), False),
+            (lambda: _random_pure_problem(14, 4, 3), False),
         ],
-        ids=["qutrit3", "pure-qubit", "mixed-qubit", "qutrit2", "rank2-qutrit", "mixed-qutrit"],
+        ids=["qutrit3", "pure-qubit", "qutrit2", "pure-d4"],
     )
     def test_path_selection(self, monkeypatch, problem, isotropic):
         # g is quadratic on isotropic input, so its first Newton step is exact and the
@@ -492,18 +488,38 @@ class TestExactPath:
 
 
 class TestNearlyDegenerateProbe:
-    """psi_eps rows: a null-space direction R barely sees must not spoil the certificate."""
+    """psi_eps rows: C_H, C_S and the stepwise routes agree on whether the bound exists.
 
-    @pytest.mark.parametrize("eps", [1e-3, 1e-4, 1e-5, 1e-6, 1e-7])
+    Each applies the package's one pivot rule, C_H to the QR pivots of its
+    realified derivatives and the rest to the Cholesky pivots of Q, so all
+    five return a value through eps = 1e-6 and raise SingularQfim from 1e-7.
+    """
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-4, 1e-5, 1e-6])
     def test_certified(self, eps):
         sol = holevo_bound(*_psi_eps_problem(eps))
         assert sol.status == "converged"
         _assert_certified(sol)
 
-    def test_infeasible_at_rounding_level(self):
-        # E X0 - rhs exceeds CONSTRAINT_TOL by rounding here, not by a rank decision
-        with pytest.raises(Infeasible):
-            holevo_bound(*_psi_eps_problem(1e-8))
+    @pytest.mark.parametrize("eps", [1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9])
+    def test_routes_agree(self, eps):
+        rho, drho = _psi_eps_problem(eps)
+        q = eval_qutrit3(*PSI_EPS_PARAMS, 1.0, _psi_eps_probe(eps)).q
+        routes = {
+            "holevo_bound": lambda: holevo_bound(rho, drho),
+            "c_sld": lambda: c_sld(q),
+            "best_order_dp": lambda: best_order_dp(q),
+            "best_order_bruteforce": lambda: best_order_bruteforce(q),
+            "csep_ordered": lambda: csep_ordered(q),
+        }
+        exists = {}
+        for name, call in routes.items():
+            try:
+                call()
+                exists[name] = True
+            except SingularQfim:
+                exists[name] = False
+        assert set(exists.values()) == {eps >= 1e-6}, exists
 
 
 class TestLoopStatus:

@@ -97,3 +97,23 @@ def test_no_dead_constants():
                     loaded.add(name)
     dead = [f"{path}: {name}" for name, path in sorted(constants.items()) if name not in loaded]
     assert dead == []
+
+
+def _raised_names(tree):
+    """Names raised as ``raise Name`` or ``raise Name(...)``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                yield exc.id
+
+
+def test_every_error_is_raised():
+    # an error class of errors.py that no raise statement of the package names
+    # is left over from a removed code path; QmetError is only the base class
+    tree = ast.parse((SRC / "errors.py").read_text())
+    classes = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    raised = set()
+    for path in sorted(SRC.glob("*.py")):
+        raised.update(_raised_names(ast.parse(path.read_text(), filename=str(path))))
+    assert sorted(classes - raised - {"QmetError"}) == []
