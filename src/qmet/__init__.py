@@ -53,7 +53,7 @@ from .experiments import (
     run_qubit_sweep,
     run_scatter_study,
 )
-from .holevo import HolevoSolution, holevo_bound, verify_sandwich, z_matrix
+from .holevo import HolevoSolution, holevo_bound, verify_sandwich
 from .linalg import (
     Qfim,
     cholesky,
@@ -71,13 +71,10 @@ from .models import (
     eval_qubit2,
     eval_qutrit2,
     eval_qutrit3,
-    gell_mann_basis,
     geometry_vectors,
-    geometry_vectors3,
     qubit2_model,
     qutrit2_model,
     qutrit3_model,
-    qutrit_coherence,
 )
 from .stepwise import (
     Brackets,
@@ -129,9 +126,7 @@ __all__ = [
     "eval_qubit2",
     "eval_qutrit2",
     "eval_qutrit3",
-    "gell_mann_basis",
     "geometry_vectors",
-    "geometry_vectors3",
     "haar_pure_state",
     "holevo_bound",
     "nuclear_norm",
@@ -142,7 +137,6 @@ __all__ = [
     "qubit2_model",
     "qutrit2_model",
     "qutrit3_model",
-    "qutrit_coherence",
     "r2_closed",
     "r3_closed",
     "run_qubit_sweep",
@@ -155,6 +149,5 @@ __all__ = [
     "threshold_csep_vs",
     "verify_sandwich",
     "weights",
-    "z_matrix",
     "__version__",
 ]

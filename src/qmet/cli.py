@@ -8,7 +8,9 @@ comment lines and print the file path.
 Exit codes: 0 success, 2 validation/configuration error (the message
 names the offending field), 1 computation error (the message starts with
 the error name).  Matrices use row-semicolon syntax ("4,2;2,5"); all
-orderings are 1-based.
+orderings are 1-based.  The CLI turns text into numbers and rejects
+non-finite ones; every other check on a field is made by the library
+function that owns it, through :func:`_field`, which names the field.
 """
 
 import argparse
@@ -22,7 +24,9 @@ from . import experiments as exp_mod
 from . import holevo as holevo_mod
 from . import stepwise as stepwise_mod
 from .errors import ConfigParseError, QmetError, UnknownKeyError
+from .linalg import qfim_matrix, weights
 from .models import (
+    bloch_to_state,
     density_and_derivatives,
     eval_qubit2,
     eval_qutrit2,
@@ -52,7 +56,6 @@ _FIELDS = {
     "n_states": (int, "probes per scatter parameter set"),
     "n_samples": (int, "qubit-sweep instances"),
     "multi": (int, "number of scatter parameter sets"),
-    "method": (str, "order search: dp or brute"),
     "out": (str, "output CSV path (sweep commands)"),
 }
 
@@ -63,7 +66,7 @@ _MODELS = {
     "qutrit2": (("B", "theta", "t"), eval_qutrit2, qutrit2_model),
     "qutrit3": (("B", "theta", "phi", "t"), eval_qutrit3, qutrit3_model),
 }
-_CHOICES = {"model": [*_MODELS, "matrix"], "method": ["dp", "brute"]}
+_CHOICES = {"model": [*_MODELS, "matrix"]}
 
 class ValidationError(QmetError):
     """A required or malformed field; reported with exit code 2."""
@@ -94,11 +97,16 @@ def load_config(path):
 def _convert(key, value):
     kind = _FIELDS[key][0]
     if isinstance(value, str) and kind is not str:
-        try:
-            return kind(value)
-        except ValueError as exc:
-            raise ValidationError(f"field '{key}' must be numeric, got {value!r}") from exc
+        return _field(key, kind, value)
     return value
+
+
+def _field(name, check, *args):
+    """``check(*args)``; a ValueError from the check becomes a ValidationError naming the field."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise ValidationError(f"field '{name}': {exc}") from exc
 
 
 def _require_finite(values, name):
@@ -108,44 +116,26 @@ def _require_finite(values, name):
 
 
 def parse_matrix(text, name):
-    try:
-        rows = [
-            [float(x) for x in row.split(",")] for row in text.strip().split(";")
-        ]
-        m = np.array(rows, dtype=float)
-    except ValueError as exc:
-        raise ValidationError(f"field '{name}' is not a valid matrix: {text!r}") from exc
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValidationError(f"field '{name}' must be square, got shape {m.shape}")
-    return _require_finite(m, name)
+    rows = [row.split(",") for row in text.strip().split(";")]
+    return _require_finite(_field(name, np.array, rows, float), name)
 
 
 def parse_vector(text, name, count=None):
-    try:
-        v = np.array([float(x) for x in text.split(",")], dtype=float)
-    except ValueError as exc:
-        raise ValidationError(f"field '{name}' is not a valid vector: {text!r}") from exc
+    v = _field(name, np.array, text.split(","), float)
     if count is not None and v.size != count:
         raise ValidationError(f"field '{name}' must have {count} entries, got {v.size}")
     return _require_finite(v, name)
 
 
 def parse_probe(cfg):
-    model = cfg["model"]
-    if model == "qubit2":
-        if "bloch" not in cfg:
-            raise ValidationError("missing required field 'bloch' for model qubit2")
+    if cfg["model"] == "qubit2":
+        _require(cfg, ["bloch"])
         bloch = parse_vector(cfg["bloch"], "bloch", 3)
-        if np.linalg.norm(bloch) < 1e-12:
-            raise ValidationError("field 'bloch' must be a nonzero vector")
+        _field("bloch", bloch_to_state, bloch)  # a check only: eval_qubit2 normalizes
         return bloch
-    if "probe" not in cfg:
-        raise ValidationError(f"missing required field 'probe' for model {model}")
+    _require(cfg, ["probe"])
     flat = parse_vector(cfg["probe"], "probe", 6)
-    try:
-        return normalize_state(flat[0::2] + 1j * flat[1::2], 3)
-    except ValueError as exc:
-        raise ValidationError(f"field 'probe' is invalid: {exc}") from exc
+    return _field("probe", normalize_state, flat[0::2] + 1j * flat[1::2], 3)
 
 
 def _require(cfg, keys):
@@ -172,8 +162,7 @@ def evaluate_model(cfg):
     if cfg.get("model") == "matrix":
         _require(cfg, ["q"])
         q = parse_matrix(cfg["q"], "q")
-        if np.max(np.abs(q - q.T)) > 1e-8 * (1.0 + np.max(np.abs(q))):
-            raise ValidationError("field 'q' must be a symmetric matrix")
+        _field("q", qfim_matrix, q)  # a check only: the raw q is passed on
         n = q.shape[0]
         u = parse_matrix(cfg["u"], "u") if cfg.get("u") else np.zeros((n, n))
         if u.shape != q.shape:
@@ -195,24 +184,13 @@ def holevo_inputs(cfg):
 def parse_weight(cfg, n):
     if not cfg.get("weight"):
         return None
-    w = parse_vector(cfg["weight"], "weight", n)
-    if np.any(w <= 0):
-        raise ValidationError("field 'weight' entries must be positive")
-    return w
+    return _field("weight", weights, parse_vector(cfg["weight"], "weight"), n)
 
 
 def parse_ordering(cfg, n):
     if not cfg.get("ordering"):
         return None
-    try:
-        order = tuple(int(x) for x in cfg["ordering"].split(","))
-    except ValueError as exc:
-        raise ValidationError("field 'ordering' is not a valid ordering") from exc
-    if sorted(order) != list(range(1, n + 1)):
-        raise ValidationError(
-            f"field 'ordering' must be a permutation of 1..{n}, got {order}"
-        )
-    return order
+    return _field("ordering", stepwise_mod._validate_ordering, cfg["ordering"].split(","), n)
 
 
 def _config_echo(cfg):
@@ -257,17 +235,8 @@ def cmd_csep(cfg):
 
 def cmd_order(cfg):
     q, _ = evaluate_model(cfg)
-    method = cfg.get("method") or "dp"
-    w = parse_weight(cfg, q.shape[0])
-    if method == "dp":
-        res = stepwise_mod.best_order_dp(q, w)
-    elif method == "brute":
-        res = stepwise_mod.best_order_bruteforce(q, w)
-    else:
-        raise ValidationError(f"field 'method' must be dp or brute, got {method!r}")
-    doc = res.to_json()
-    doc["method"] = method
-    _emit(cfg, doc)
+    res = stepwise_mod.best_order_dp(q, parse_weight(cfg, q.shape[0]))
+    _emit(cfg, res.to_json())
 
 
 def cmd_holevo(cfg):
@@ -278,6 +247,9 @@ def cmd_holevo(cfg):
 
 def cmd_scatter(cfg):
     _require(cfg, ["out"])
+    _field("n_states", exp_mod._require_count, cfg["n_states"], "n_states")
+    if cfg.get("multi") is not None:
+        _field("multi", exp_mod._require_count, cfg["multi"], "multi_params")
     params = (cfg["B"], cfg["theta"], cfg["phi"], cfg["t"])
     rows, summary = exp_mod.run_scatter_study(
         params=params,
@@ -310,8 +282,7 @@ def cmd_probe_opt(cfg):
 
 def cmd_qubit_sweep(cfg):
     _require(cfg, ["out"])
-    if cfg["n_samples"] < 1:
-        raise ValidationError(f"field 'n_samples' must be at least 1, got {cfg['n_samples']}")
+    _field("n_samples", exp_mod._require_count, cfg["n_samples"], "n_samples")
     rows, summary = exp_mod.run_qubit_sweep(n_samples=cfg["n_samples"], seed=cfg["seed"])
     exp_mod.write_csv(
         cfg["out"],

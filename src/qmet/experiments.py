@@ -106,6 +106,12 @@ def scatter_row(index, params, probe):
     )
 
 
+def _require_count(count, name):
+    """ValueError unless the count ``count`` of parameter ``name`` is at least 1."""
+    if count < 1:
+        raise ValueError(f"{name} must be at least 1, got {count}")
+
+
 def draw_parameter_sets(count, rng):
     """Pseudorandom (B, theta, phi) sets for the multi-set scatter, t = 1."""
     sets = []
@@ -130,12 +136,15 @@ def run_scatter_study(params=DEFAULT_SCATTER_PARAMS, n_states=1000, seed=0,
     probes are drawn per set.  ``probes`` overrides the Haar stream with the
     same probes for every set, which is how degenerate inputs are exercised.
     Returns (rows, summary); flagged rows are kept but excluded from the
-    summary.
+    summary.  A count below 1 raises ValueError.
     """
+    if probes is None:
+        _require_count(n_states, "n_states")
     rng = np.random.default_rng(seed)
     if multi_params is None:
         param_sets = [tuple(params)]
     elif isinstance(multi_params, int):
+        _require_count(multi_params, "multi_params")
         param_sets = draw_parameter_sets(multi_params, rng)
     else:
         param_sets = [tuple(p) for p in multi_params]
@@ -215,8 +224,9 @@ def run_qubit_sweep(n_samples=1000, seed=0):
     [0.3, 3.0]; draws whose QFIM determinant falls below QUBIT_DET_FLOOR are
     rejected so every row is safely invertible.  Returns (rows, summary)
     with the count of rows violating min-order C_sep <= C_H beyond 1e-9
-    and the margin statistics.
+    and the margin statistics.  Raises ValueError for ``n_samples`` below 1.
     """
+    _require_count(n_samples, "n_samples")
     rng = np.random.default_rng(seed)
     samples = []
     while len(samples) < n_samples:

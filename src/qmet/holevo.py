@@ -284,16 +284,6 @@ def _trust_region(c, l_mat):
     return eta, float(eta @ eta) + 2.0 * r_norm, 2.0 * (r_norm - float(e @ r)), steps, e
 
 
-def z_matrix(rho, operators):
-    """Z_uv = Tr[rho X_u X_v]: Hermitian, with Re Z positive semidefinite.
-
-    At the optimum Re Z dominates Q^-1 (the matrix Re Z - Q^-1 is PSD up to
-    solver tolerance), which callers can check diagnostically.
-    """
-    ops = np.asarray(operators, dtype=complex)
-    return np.einsum("ab,ubc,vca->uv", np.asarray(rho, dtype=complex), ops, ops)
-
-
 def verify_sandwich(solution, q, u, w=None):
     """Check C_S - tol <= value <= (1 + T(W)) C_S + tol, tol = SANDWICH_TOL (1 + |C_T|)."""
     q = qfim(q)

@@ -10,8 +10,8 @@ A QFIM is validated and factored once, by :func:`qfim`, into a read-only
 :class:`Qfim` that carries Q, its factor L and L^-1.  Every function of
 the package that takes a QFIM accepts either a matrix or a ``Qfim``.  The
 rule has one error, ``SingularQfim``, raised by :func:`_require_pivots`;
-:func:`cholesky` and :func:`spd_inverse` are read off a ``Qfim``, and only
-:func:`determinant` falls back, to an LU determinant, instead of raising.
+:func:`cholesky`, :func:`spd_inverse` and :func:`determinant` are read off
+a ``Qfim``, so they raise it alike.
 Weights are one positive vector w, W = diag(w), validated by :func:`weights`.
 """
 
@@ -62,17 +62,17 @@ def _require_square(m, name="matrix"):
         raise ValueError(f"{name} must be square, got shape {m.shape}")
 
 
-def _checked_symmetric(m, name="matrix") -> np.ndarray:
-    """``m`` as a symmetrized float array, after checking it is non-empty, finite and symmetric."""
+def _checked_symmetric(m) -> np.ndarray:
+    """The symmetrized float array of ``m``, checked to be a non-empty, finite, symmetric QFIM."""
     m = np.asarray(m, dtype=float)
-    _require_square(m, name)
+    _require_square(m, "QFIM")
     if m.size == 0:
-        raise ValueError(f"{name} is empty")
+        raise ValueError("QFIM is empty")
     peak = float(np.abs(m).max())  # NaN if any entry is NaN, inf if any is infinite
     if not math.isfinite(peak):
-        raise ValueError(f"{name} has non-finite entries")
+        raise ValueError("QFIM has non-finite entries")
     if np.abs(m - m.T).max() > 1e-8 * (1.0 + peak):
-        raise ValueError(f"{name} is not symmetric")
+        raise ValueError("QFIM is not symmetric")
     return symmetrize(m)
 
 
@@ -125,7 +125,7 @@ def qfim(m) -> Qfim:
     """
     if isinstance(m, Qfim):
         return m
-    q = _checked_symmetric(m, "QFIM")
+    q = _checked_symmetric(m)
     L = _cholesky(q)
     linv = lapack.dtrtri(L, lower=1)[0]
     return Qfim(q=_read_only(q), L=_read_only(L), linv=_read_only(linv))
@@ -137,7 +137,7 @@ def qfim_matrix(m) -> np.ndarray:
     For routines such as the order searches that never need the factor of
     the natural order.
     """
-    return m.q if isinstance(m, Qfim) else _checked_symmetric(m, "QFIM")
+    return m.q if isinstance(m, Qfim) else _checked_symmetric(m)
 
 
 def pivot_product(L) -> float:
@@ -173,17 +173,8 @@ def spd_inverse(m) -> np.ndarray:
 
 
 def determinant(m) -> float:
-    """Determinant of a symmetric matrix.
-
-    SPD input is evaluated as :func:`pivot_determinant` of its Cholesky
-    factor; anything else falls back to an LU determinant (which may be
-    zero or negative).
-    """
-    a = _checked_symmetric(m)
-    try:
-        return pivot_determinant(_cholesky(a))
-    except SingularQfim:
-        return float(np.linalg.det(a))
+    """``det(m)`` as :func:`pivot_determinant` of ``qfim(m).L``; raises what :func:`qfim` raises."""
+    return pivot_determinant(qfim(m).L)
 
 
 def weights(w, n) -> np.ndarray:

@@ -22,8 +22,9 @@ time ``t`` is a known constant of the model.  Parameter ordering is
 
 Evaluators return Q as computed, singular or not; a caller that must
 reject a degenerate model calls ``linalg.qfim(ev.q)``, which applies the
-package's one pivot rule.  :func:`hermitian_operator_basis` is the generalized
-Gell-Mann basis, :func:`gell_mann_basis` for d = 3, used by :func:`qutrit_coherence`.
+package's one pivot rule.  Every probe, Bloch or state vector, passes one
+rule, :func:`_unit`: a vector of non-finite norm or of norm below ZERO_NORM
+is rejected with ValueError, and any other is divided by its norm.
 """
 
 from dataclasses import dataclass
@@ -31,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-# spin-1/2 generators J_i = sigma_i / 2
+# Pauli matrices
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 _SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -44,56 +45,16 @@ _J1Z = np.diag([1.0, 0.0, -1.0]).astype(complex)
 ZERO_NORM = 1e-12  # state and Bloch vectors of smaller norm are rejected
 
 
-def spin_half_operators():
-    """(Jx, Jy, Jz) for a qubit, i.e. the Pauli matrices over two."""
-    return 0.5 * _SX, 0.5 * _SY, 0.5 * _SZ
-
-
 def spin_one_operators():
     """(Jx, Jy, Jz) for a qutrit in the |m=1,0,-1> basis."""
     return _J1X.copy(), _J1Y.copy(), _J1Z.copy()
 
 
-def gell_mann_basis():
-    """Orthonormal Hermitian qutrit basis {Gamma_1/sqrt2, ..., Gamma_8/sqrt2, I/sqrt3}.
-
-    Satisfies ``Tr[b_i b_j] = delta_ij``; the identity element comes last so a
-    pure state's coefficient vector has r_9 = 1/sqrt(3).
-    """
-    return hermitian_operator_basis(3)
-
-
-def hermitian_operator_basis(d):
-    """Orthonormal Hermitian operator basis of a d-dimensional space.
-
-    Generalized Gell-Mann construction, in Gell-Mann order: for j = 1..d-1
-    the symmetric and antisymmetric pair of every i < j, then
-    diag(1, ..., 1, -j) / sqrt(j (j + 1) / 2), each over sqrt(2); the
-    identity over sqrt(d) comes last.  For d = 3 these are the Gell-Mann
-    matrices Gamma_1..Gamma_8.
-    """
-    basis = []
-    for j in range(1, d):
-        for i in range(j):
-            m = np.zeros((d, d), dtype=complex)
-            m[i, j] = m[j, i] = 1.0
-            basis.append(m / np.sqrt(2.0))
-            m = np.zeros((d, d), dtype=complex)
-            m[i, j], m[j, i] = -1.0j, 1.0j
-            basis.append(m / np.sqrt(2.0))
-        diag = np.zeros(d, dtype=complex)
-        diag[:j] = 1.0
-        diag[j] = -j
-        basis.append(np.diag(diag) / np.sqrt(j * (j + 1) / 2.0) / np.sqrt(2.0))
-    basis.append(np.eye(d, dtype=complex) / np.sqrt(d))
-    return basis
-
-
 def _unit(v, name):
-    """``v / ||v||``; ValueError when ||v|| is below ZERO_NORM."""
+    """``v / ||v||``; ValueError when ||v|| is below ZERO_NORM or not finite."""
     norm = np.linalg.norm(v)
-    if norm < ZERO_NORM:
-        raise ValueError(f"{name} has (near-)zero norm")
+    if not ZERO_NORM <= norm < np.inf:  # NaN compares False
+        raise ValueError(f"{name} has (near-)zero norm or is not finite")
     return v / norm
 
 
@@ -104,24 +65,6 @@ def bloch_to_state(r):
     phi = np.arctan2(y, x)
     return np.array(
         [np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)], dtype=complex
-    )
-
-
-def state_to_bloch(psi):
-    psi = np.asarray(psi, dtype=complex)
-    return np.array(
-        [np.real(np.vdot(psi, s @ psi)) for s in (_SX, _SY, _SZ)], dtype=float
-    )
-
-
-def qutrit_coherence(psi):
-    """Coefficients r_i = Tr[|psi><psi| b_i] in the normalized Gell-Mann basis.
-
-    Not a Bloch vector: for pure states |r|^2 = 1 and r_9 = 1/sqrt(3).
-    """
-    psi = normalize_state(psi, 3)
-    return np.array(
-        [np.real(np.vdot(psi, b @ psi)) for b in gell_mann_basis()], dtype=float
     )
 
 
@@ -139,17 +82,6 @@ def geometry_vectors(B, theta, t):
     n_theta = np.array([np.cos(theta), 0.0, np.sin(theta)])
     n_1 = np.array([c * np.sin(theta), -s, -c * np.cos(theta)])
     n_2 = np.array([s * np.sin(theta), c, -s * np.cos(theta)])
-    return n_theta, n_1, n_2
-
-
-def geometry_vectors3(B, theta, phi, t):
-    """Direction triple of the three-parameter model (field spanning all directions)."""
-    c, s = np.cos(B * t / 2.0), np.sin(B * t / 2.0)
-    ct, st = np.cos(theta), np.sin(theta)
-    cp, sp = np.cos(phi), np.sin(phi)
-    n_theta = np.array([ct * cp, ct * sp, st])
-    n_1 = np.array([s * sp + c * st * cp, -s * cp + c * st * sp, -c * ct])
-    n_2 = np.array([c * sp - s * st * cp, -c * cp - s * st * sp, s * ct])
     return n_theta, n_1, n_2
 
 

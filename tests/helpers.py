@@ -3,12 +3,103 @@
 Everything here is deliberately independent of the implementation paths it
 checks: determinants by cofactor expansion, stepwise values by numerical
 minimization over the resource simplex, derivatives by central differences,
-the Holevo bound by an interior-point SDP and by direct minimization.
+the Holevo bound by an interior-point SDP and by direct minimization.  It
+also holds the reference constructions the package itself does not use:
+spin-1/2 operators, the Bloch vector of a qubit state, the generalized
+Gell-Mann basis and the qutrit coherence vector, the three-parameter
+direction triple and the Holevo Z matrix.
 """
 
 import numpy as np
 from scipy.linalg import lapack
 from scipy.optimize import minimize
+
+
+# Pauli matrices
+_SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+_SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+_SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+
+
+def spin_half_operators():
+    """(Jx, Jy, Jz) for a qubit, i.e. the Pauli matrices over two."""
+    return 0.5 * _SX, 0.5 * _SY, 0.5 * _SZ
+
+
+def state_to_bloch(psi):
+    psi = np.asarray(psi, dtype=complex)
+    return np.array(
+        [np.real(np.vdot(psi, s @ psi)) for s in (_SX, _SY, _SZ)], dtype=float
+    )
+
+
+def gell_mann_basis():
+    """Orthonormal Hermitian qutrit basis {Gamma_1/sqrt2, ..., Gamma_8/sqrt2, I/sqrt3}.
+
+    Satisfies ``Tr[b_i b_j] = delta_ij``; the identity element comes last so a
+    pure state's coefficient vector has r_9 = 1/sqrt(3).
+    """
+    return hermitian_operator_basis(3)
+
+
+def hermitian_operator_basis(d):
+    """Orthonormal Hermitian operator basis of a d-dimensional space.
+
+    Generalized Gell-Mann construction, in Gell-Mann order: for j = 1..d-1
+    the symmetric and antisymmetric pair of every i < j, then
+    diag(1, ..., 1, -j) / sqrt(j (j + 1) / 2), each over sqrt(2); the
+    identity over sqrt(d) comes last.  For d = 3 these are the Gell-Mann
+    matrices Gamma_1..Gamma_8.
+    """
+    basis = []
+    for j in range(1, d):
+        for i in range(j):
+            m = np.zeros((d, d), dtype=complex)
+            m[i, j] = m[j, i] = 1.0
+            basis.append(m / np.sqrt(2.0))
+            m = np.zeros((d, d), dtype=complex)
+            m[i, j], m[j, i] = -1.0j, 1.0j
+            basis.append(m / np.sqrt(2.0))
+        diag = np.zeros(d, dtype=complex)
+        diag[:j] = 1.0
+        diag[j] = -j
+        basis.append(np.diag(diag) / np.sqrt(j * (j + 1) / 2.0) / np.sqrt(2.0))
+    basis.append(np.eye(d, dtype=complex) / np.sqrt(d))
+    return basis
+
+
+def qutrit_coherence(psi):
+    """Coefficients r_i = Tr[|psi><psi| b_i] in the normalized Gell-Mann basis.
+
+    Not a Bloch vector: for pure states |r|^2 = 1 and r_9 = 1/sqrt(3).
+    """
+    from qmet.models import normalize_state
+
+    psi = normalize_state(psi, 3)
+    return np.array(
+        [np.real(np.vdot(psi, b @ psi)) for b in gell_mann_basis()], dtype=float
+    )
+
+
+def geometry_vectors3(B, theta, phi, t):
+    """Direction triple of the three-parameter model (field spanning all directions)."""
+    c, s = np.cos(B * t / 2.0), np.sin(B * t / 2.0)
+    ct, st = np.cos(theta), np.sin(theta)
+    cp, sp = np.cos(phi), np.sin(phi)
+    n_theta = np.array([ct * cp, ct * sp, st])
+    n_1 = np.array([s * sp + c * st * cp, -s * cp + c * st * sp, -c * ct])
+    n_2 = np.array([c * sp - s * st * cp, -c * cp - s * st * sp, s * ct])
+    return n_theta, n_1, n_2
+
+
+def z_matrix(rho, operators):
+    """Z_uv = Tr[rho X_u X_v]: Hermitian, with Re Z positive semidefinite.
+
+    At the optimum Re Z dominates Q^-1 (the matrix Re Z - Q^-1 is PSD up to
+    solver tolerance), which callers can check diagnostically.
+    """
+    ops = np.asarray(operators, dtype=complex)
+    return np.einsum("ab,ubc,vca->uv", np.asarray(rho, dtype=complex), ops, ops)
 
 
 def det_cofactor(m):
@@ -133,8 +224,6 @@ def direct_holevo_min(rho, drho, n_starts=3, seed=0, budget=120_000):
     constraints (the problem is convex, so a generic local minimizer
     suffices).
     """
-    from qmet.models import hermitian_operator_basis
-
     rho = np.asarray(rho, dtype=complex)
     d = rho.shape[0]
     n = len(drho)
@@ -334,8 +423,6 @@ def qutrit2_closed_qu(B, theta, t, psi):
 
 def qutrit3_closed_q(B, theta, phi, t, psi):
     """The paper's closed-form three-parameter qutrit QFIM from spin-1 expectations."""
-    from qmet.models import geometry_vectors3
-
     _, cov = _spin1_moments(psi, *geometry_vectors3(B, theta, phi, t))
     s, ct = np.sin(B * t / 2.0), np.cos(theta)
     q = np.empty((3, 3))

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -36,14 +37,6 @@ class TestMatrixCommands:
         doc = json.loads(out)["result"]
         assert doc["value"] == pytest.approx(1.0)
         assert doc["ordering"] == [2, 1]
-        assert doc["method"] == "dp"
-
-    def test_order_brute_method(self, capsys):
-        rc, out, _ = run(
-            capsys, "order", "--model", "matrix", "--q", "4,2;2,5", "--method", "brute"
-        )
-        assert rc == 0
-        assert json.loads(out)["result"]["method"] == "brute"
 
     def test_singular_matrix_exits_1(self, capsys):
         rc, _, err = run(capsys, "csep", "--model", "matrix", "--q", "1,2;2,1")
@@ -294,6 +287,20 @@ class TestSweepCommands:
         assert "'n_samples'" in err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("args, field", [
+        (["scatter", "--n-states", "0"], "'n_states'"),
+        (["scatter", "--n-states", "-3"], "'n_states'"),
+        (["scatter", "--multi", "0"], "'multi'"),
+        (["scatter", "--multi", "-2"], "'multi'"),
+        (["qubit-sweep", "--n-samples", "-1"], "'n_samples'"),
+    ])
+    def test_count_below_one_exits_2(self, capsys, tmp_path, args, field):
+        out_path = tmp_path / "sweep.csv"
+        rc, _, err = run(capsys, *args, "--out", str(out_path))
+        assert rc == 2
+        assert err.startswith("ValidationError") and field in err
+        assert not out_path.exists()
+
     def test_scatter_artifact_and_determinism(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["scatter", "--n-states", "4", "--seed", "9"]
@@ -361,6 +368,22 @@ class TestArgumentErrors:
 
     def test_unknown_flag(self, capsys):
         assert main(["csep", "--nope", "1"]) == 2
+
+
+def _readme_commands():
+    """The ``qmet`` lines of the README's bash blocks, as argument lists without ``qmet``."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = readme.split("```bash\n")[1:]
+    lines = [line for block in blocks for line in block.split("```")[0].splitlines()]
+    return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("qmet ")]
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert len(commands) >= 8
+    for argv in commands:
+        args = cli.build_parser().parse_args(argv)
+        assert args.command == argv[0]
 
 
 def test_module_entry_point():

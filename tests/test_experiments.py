@@ -93,6 +93,11 @@ class TestQubitSweep:
         b, _ = run_qubit_sweep(n_samples=50, seed=3)
         assert qubit_rows_to_csv(a) == qubit_rows_to_csv(b)
 
+    def test_count_below_one_rejected(self):
+        for n in (0, -3):
+            with pytest.raises(ValueError, match="n_samples"):
+                run_qubit_sweep(n_samples=n)
+
     def test_floats_round_trip_through_csv(self):
         # 17 significant digits reproduce binary doubles exactly
         rows, _ = run_qubit_sweep(n_samples=10, seed=2)
@@ -159,7 +164,7 @@ class TestScatter:
     def test_singular_probe_flagged(self):
         # a J_ntheta eigenstate has zero variance: Q_BB = 0, so the row is flagged
         b, theta, phi, t = 1.0, np.pi / 7.0, np.pi / 5.0, 1.0
-        from qmet.models import geometry_vectors3, spin_one_operators
+        from helpers import geometry_vectors3
 
         n_theta, _, _ = geometry_vectors3(b, theta, phi, t)
         j = np.stack(spin_one_operators())
@@ -204,6 +209,16 @@ class TestScatter:
         assert len(sets) == 4
         for b, theta, phi, t in sets:
             assert 0.5 <= b <= 2.0 and abs(theta) <= np.pi / 3.0 and t == 1.0
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"n_states": 0}, "n_states"),
+        ({"n_states": -3}, "n_states"),
+        ({"multi_params": 0}, "multi_params"),
+        ({"multi_params": -2}, "multi_params"),
+    ])
+    def test_count_below_one_rejected(self, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            run_scatter_study(**kwargs)
 
     def test_csv_roundtrip_deterministic(self, tmp_path):
         config = {"command": "scatter", "seed": 13, "n_states": 6}

@@ -7,7 +7,7 @@ from scipy.optimize import minimize
 from qmet import holevo
 from qmet.bounds import c_holevo_qubit_pure, c_sld
 from qmet.errors import NotApplicable, SingularQfim, TooManyParameters
-from qmet.holevo import holevo_bound, verify_sandwich, z_matrix
+from qmet.holevo import holevo_bound, verify_sandwich
 from qmet.linalg import spd_inverse
 from qmet.models import (
     density_and_derivatives,
@@ -15,7 +15,6 @@ from qmet.models import (
     eval_qutrit2,
     eval_qutrit3,
     geometry_vectors,
-    geometry_vectors3,
     qubit2_model,
     qutrit2_model,
     qutrit3_model,
@@ -23,7 +22,13 @@ from qmet.models import (
 )
 from qmet.stepwise import best_order_bruteforce, best_order_dp, csep_ordered
 
-from helpers import direct_holevo_min, holevo_interior_point, qubit_instance
+from helpers import (
+    direct_holevo_min,
+    geometry_vectors3,
+    holevo_interior_point,
+    qubit_instance,
+    z_matrix,
+)
 
 PAULI = [
     np.array([[0, 1], [1, 0]], dtype=complex),

@@ -103,15 +103,26 @@ class TestDeterminant:
         assert determinant(np.diag([1.0, 4.0])) == pytest.approx(4.0)
 
     def test_non_spd_fallback(self):
-        # eigenvalues 3 and -1: Cholesky refuses, LU fallback returns -3
-        assert determinant([[1.0, 2.0], [2.0, 1.0]]) == pytest.approx(-3.0, rel=1e-12)
+        # eigenvalues 3 and -1: singular under the pivot rule, like cholesky and spd_inverse
+        with pytest.raises(SingularQfim):
+            determinant([[1.0, 2.0], [2.0, 1.0]])
 
     def test_matches_cofactor_oracle(self):
         rng = np.random.default_rng(11)
+        compared = raised = 0
         for _ in range(100):
             n = rng.integers(1, 5)
             m = symmetrize(rng.standard_normal((n, n)) * 2.0)
-            assert determinant(m) == pytest.approx(det_cofactor(m), rel=1e-9, abs=1e-12)
+            eig = np.linalg.eigvalsh(m)
+            margin = 1e-6 * np.abs(eig).max()
+            if eig[0] > margin:  # clearly positive definite
+                assert determinant(m) == pytest.approx(det_cofactor(m), rel=1e-9, abs=1e-12)
+                compared += 1
+            elif eig[0] < -margin:  # clearly indefinite or negative definite
+                with pytest.raises(SingularQfim):
+                    determinant(m)
+                raised += 1
+        assert compared > 0 and raised > 0
 
     def test_equals_squared_pivot_product(self):
         rng = np.random.default_rng(13)

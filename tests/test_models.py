@@ -10,25 +10,26 @@ from qmet.models import (
     eval_qubit2,
     eval_qutrit2,
     eval_qutrit3,
-    gell_mann_basis,
     geometry_vectors,
-    geometry_vectors3,
-    hermitian_operator_basis,
+    normalize_state,
     qfim_muc_from_derivatives,
     qubit2_model,
     qutrit2_model,
     qutrit3_model,
-    qutrit_coherence,
-    spin_half_operators,
     spin_one_operators,
-    state_to_bloch,
 )
 
 from helpers import (
     central_diff_state_derivatives,
+    gell_mann_basis,
+    geometry_vectors3,
+    hermitian_operator_basis,
     qfim_muc_by_loop,
     qutrit2_closed_qu,
     qutrit3_closed_q,
+    qutrit_coherence,
+    spin_half_operators,
+    state_to_bloch,
 )
 
 
@@ -193,11 +194,12 @@ class TestQubitModel:
             r /= np.linalg.norm(r)
             assert np.allclose(state_to_bloch(bloch_to_state(r)), r, atol=1e-12)
 
-    @pytest.mark.parametrize("r", [[1e-13, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    @pytest.mark.parametrize("r", [[1e-13, 0.0, 0.0], [0.0, 0.0, 0.0], [np.nan, 0.0, 1.0],
+                                   [np.inf, 0.0, 1.0]])
     def test_near_zero_bloch_vector_rejected(self, r):
-        # one zero-norm rule for every entry that takes a Bloch vector
+        # one zero-norm rule for every entry that takes a Bloch or state vector
         for build in (bloch_to_state, lambda r: qubit2_model(r, 1.0),
-                      lambda r: eval_qubit2(1.0, 0.2, 1.0, r)):
+                      lambda r: eval_qubit2(1.0, 0.2, 1.0, r), lambda r: normalize_state(r, 3)):
             with pytest.raises(ValueError, match="zero norm"):
                 build(r)
 

@@ -59,6 +59,31 @@ def test_no_dead_private_helpers():
     assert private == []
 
 
+def test_public_names_are_used():
+    # a public module-level function or class that nothing in the package uses
+    # and that qmet.__all__ does not export is left over from a removed code path
+    trees = {
+        path.name: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    used = set(qmet.__all__)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    orphans = [
+        f"{name}: {node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in used
+    ]
+    assert orphans == []
+
+
 def _assigned_names(node):
     """Names an assignment statement binds or mutates through a subscript or attribute."""
     if isinstance(node, ast.Assign):
