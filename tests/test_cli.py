@@ -370,20 +370,15 @@ class TestArgumentErrors:
         assert main(["csep", "--nope", "1"]) == 2
 
 
-def _readme_commands():
-    """The ``qmet`` lines of the README's bash blocks, as argument lists without ``qmet``."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    blocks = readme.split("```bash\n")[1:]
-    lines = [line for block in blocks for line in block.split("```")[0].splitlines()]
-    return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("qmet ")]
-
-
 def test_readme_commands_parse():
-    commands = _readme_commands()
+    # every `qmet ...` line of the README's bash blocks parses; none is run
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = [block.split("```")[0] for block in readme.split("```bash\n")[1:]]
+    commands = [shlex.split(line, comments=True)[1:]
+                for block in blocks for line in block.splitlines() if line.startswith("qmet ")]
     assert len(commands) >= 8
     for argv in commands:
-        args = cli.build_parser().parse_args(argv)
-        assert args.command == argv[0]
+        assert cli.build_parser().parse_args(argv).command == argv[0]
 
 
 def test_module_entry_point():
