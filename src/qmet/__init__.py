@@ -50,8 +50,11 @@ from .experiments import (
     ScatterRow,
     haar_pure_state,
     optimize_qutrit_probe,
+    qubit_rows_to_csv,
     run_qubit_sweep,
     run_scatter_study,
+    scatter_rows_to_csv,
+    write_csv,
 )
 from .holevo import HolevoSolution, holevo_bound, verify_sandwich
 from .linalg import (
@@ -135,12 +138,14 @@ __all__ = [
     "quantumness_R",
     "quantumness_T",
     "qubit2_model",
+    "qubit_rows_to_csv",
     "qutrit2_model",
     "qutrit3_model",
     "r2_closed",
     "r3_closed",
     "run_qubit_sweep",
     "run_scatter_study",
+    "scatter_rows_to_csv",
     "sloppiness",
     "spd_inverse",
     "symmetrize",
@@ -149,5 +154,6 @@ __all__ = [
     "threshold_csep_vs",
     "verify_sandwich",
     "weights",
+    "write_csv",
     "__version__",
 ]

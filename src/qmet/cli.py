@@ -6,11 +6,12 @@ embedded); sweeps write CSV artifacts that carry the config as leading
 comment lines and print the file path.
 
 Exit codes: 0 success, 2 validation/configuration error (the message
-names the offending field), 1 computation error (the message starts with
-the error name).  Matrices use row-semicolon syntax ("4,2;2,5"); all
-orderings are 1-based.  The CLI turns text into numbers and rejects
-non-finite ones; every other check on a field is made by the library
-function that owns it, through :func:`_field`, which names the field.
+names the offending field, or the path that could not be opened), 1
+computation error (the message starts with the error name).  Matrices use
+row-semicolon syntax ("4,2;2,5"); all orderings are 1-based.  The CLI
+turns text into numbers and rejects non-finite ones; every other check on
+a field is made by the library function that owns it, through
+:func:`_field`, which names the field.
 """
 
 import argparse
@@ -260,7 +261,7 @@ def cmd_scatter(cfg):
     exp_mod.write_csv(
         cfg["out"],
         exp_mod.SCATTER_HEADER,
-        exp_mod.scatter_rows_to_csv(rows),
+        map(exp_mod.scatter_row_to_csv, rows),
         _config_echo(cfg),
     )
     print(cfg["out"])
@@ -287,7 +288,7 @@ def cmd_qubit_sweep(cfg):
     exp_mod.write_csv(
         cfg["out"],
         exp_mod.QUBIT_SWEEP_HEADER,
-        exp_mod.qubit_rows_to_csv(rows),
+        map(exp_mod.qubit_row_to_csv, rows),
         _config_echo(cfg),
     )
     print(cfg["out"])
@@ -360,7 +361,7 @@ def main(argv=None):
         ValidationError,
         ConfigParseError,
         UnknownKeyError,
-        FileNotFoundError,
+        OSError,
         ValueError,
     ) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

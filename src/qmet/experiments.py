@@ -4,8 +4,11 @@ optimal probe of the two-parameter qutrit model (in closed form, the
 m = 0 eigenvector of J_n2; no search), and the qubit inequality sweep.
 
 Every sampled study consumes a single seeded random stream so results are
-reproducible bit for bit; the CSV writers print floats with 17 significant
-digits and embed the effective configuration as leading comment lines.
+reproducible bit for bit; the CSV formatters print floats with 17
+significant digits, one row at a time, and :func:`write_csv` embeds the
+effective configuration as leading comment lines and writes each row as it
+is consumed, so a lazily formatted sweep never holds its table or file text
+whole.
 """
 
 from dataclasses import dataclass
@@ -46,14 +49,19 @@ def _fmt(x):
 
 
 def write_csv(path, header, rows, config):
-    """Write rows of already-formatted strings with config comment lines."""
-    lines = []
-    for key, value in config.items():
-        lines.append(f"# {key}={value}")
-    lines.append(",".join(header))
-    lines.extend(",".join(row) for row in rows)
+    """Write ``# key=value`` lines of ``config``, the header, then the rows.
+
+    ``rows`` may be any iterable of already-formatted string fields; each
+    row is written as the iterable yields it, so neither the table nor the
+    file text need exist whole.  An iterable that raises leaves a partial
+    file holding the rows written before it raised.
+    """
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        for key, value in config.items():
+            fh.write(f"# {key}={value}\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(row) + "\n")
 
 
 @dataclass(frozen=True)
@@ -174,16 +182,19 @@ def run_scatter_study(params=DEFAULT_SCATTER_PARAMS, n_states=1000, seed=0,
     return rows, summary
 
 
+def scatter_row_to_csv(r):
+    """The CSV fields of one :class:`ScatterRow`, in SCATTER_HEADER order."""
+    ordering = ">".join(str(o) for o in r.best_ordering) if r.best_ordering else ""
+    return (
+        [str(r.index), _fmt(r.b), _fmt(r.theta), _fmt(r.phi), _fmt(r.t)]
+        + [_fmt(v) for pair in zip(r.probe.real, r.probe.imag) for v in pair]
+        + [_fmt(r.c_h), r.c_h_status, _fmt(r.c_sep_min), ordering, r.flag]
+    )
+
+
 def scatter_rows_to_csv(rows):
-    out = []
-    for r in rows:
-        ordering = ">".join(str(o) for o in r.best_ordering) if r.best_ordering else ""
-        out.append(
-            [str(r.index), _fmt(r.b), _fmt(r.theta), _fmt(r.phi), _fmt(r.t)]
-            + [_fmt(v) for pair in zip(r.probe.real, r.probe.imag) for v in pair]
-            + [_fmt(r.c_h), r.c_h_status, _fmt(r.c_sep_min), ordering, r.flag]
-        )
-    return out
+    """The CSV fields of every scatter row, as a list."""
+    return [scatter_row_to_csv(r) for r in rows]
 
 
 QUBIT_SWEEP_HEADER = [
@@ -251,8 +262,14 @@ def run_qubit_sweep(n_samples=1000, seed=0):
     return rows, summary
 
 
+def qubit_row_to_csv(r):
+    """The CSV fields of one qubit-sweep row, in QUBIT_SWEEP_HEADER order."""
+    return [_fmt(r[key]) for key in QUBIT_SWEEP_HEADER]
+
+
 def qubit_rows_to_csv(rows):
-    return [[_fmt(r[key]) for key in QUBIT_SWEEP_HEADER] for r in rows]
+    """The CSV fields of every qubit-sweep row, as a list."""
+    return [qubit_row_to_csv(r) for r in rows]
 
 
 @dataclass(frozen=True)

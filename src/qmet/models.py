@@ -23,8 +23,9 @@ time ``t`` is a known constant of the model.  Parameter ordering is
 Evaluators return Q as computed, singular or not; a caller that must
 reject a degenerate model calls ``linalg.qfim(ev.q)``, which applies the
 package's one pivot rule.  Every probe, Bloch or state vector, passes one
-rule, :func:`_unit`: a vector of non-finite norm or of norm below ZERO_NORM
-is rejected with ValueError, and any other is divided by its norm.
+rule, :func:`_unit`: a vector with a non-finite entry or of norm below
+ZERO_NORM is rejected with ValueError, and any other is divided by its norm
+(after dividing by its largest magnitude when the norm overflows).
 """
 
 from dataclasses import dataclass
@@ -51,8 +52,16 @@ def spin_one_operators():
 
 
 def _unit(v, name):
-    """``v / ||v||``; ValueError when ||v|| is below ZERO_NORM or not finite."""
-    norm = np.linalg.norm(v)
+    """``v / ||v||``; ValueError when ||v|| is below ZERO_NORM or not finite.
+
+    A finite ``v`` whose norm overflows is divided by max|v| first; any other
+    ``v`` takes the plain norm, so its result keeps its bytes.
+    """
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(v)
+    if norm == np.inf and np.isfinite(v).all():
+        v = v / np.max(np.abs(v))
+        norm = np.linalg.norm(v)
     if not ZERO_NORM <= norm < np.inf:  # NaN compares False
         raise ValueError(f"{name} has (near-)zero norm or is not finite")
     return v / norm

@@ -8,7 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qmet
 import qmet.cli as cli
+import qmet.experiments as experiments
 from qmet.cli import load_config, main
 from qmet.errors import ConfigParseError, UnknownKeyError
 from qmet.models import eval_qubit2, eval_qutrit2, eval_qutrit3
@@ -258,6 +260,17 @@ class TestConfigFile:
         rc, _, err = run(capsys, "qfim", "--config", str(tmp_path / "absent.cfg"))
         assert rc == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["qubit-sweep", "--n-samples", "5", "--seed", "1", "--out"],
+        ["bounds", "--config"],
+    ])
+    def test_unusable_path_exits_2(self, capsys, tmp_path, argv):
+        # a directory where a file is expected: a one-line message, no traceback
+        rc, out, err = run(capsys, *argv, str(tmp_path))
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("IsADirectoryError: ") and err.count("\n") == 1
+
 
 class TestSweepCommands:
     def test_qubit_sweep_artifact(self, capsys, tmp_path):
@@ -324,6 +337,21 @@ class TestSweepCommands:
         assert main(["scatter", "--config", str(cfg_path), "--out", str(second)]) == 0
         capsys.readouterr()
         assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("argv, study, header, to_csv", [
+        (["scatter", "--n-states", "6"], lambda: qmet.run_scatter_study(n_states=6, seed=3),
+         experiments.SCATTER_HEADER, qmet.scatter_rows_to_csv),
+        (["qubit-sweep", "--n-samples", "50"], lambda: qmet.run_qubit_sweep(n_samples=50, seed=3),
+         experiments.QUBIT_SWEEP_HEADER, qmet.qubit_rows_to_csv),
+    ])
+    def test_csv_equals_library_table(self, capsys, tmp_path, argv, study, header, to_csv):
+        # the CLI streams its rows; the bytes equal the library's whole table written out
+        argv = argv + ["--seed", "3", "--out", str(tmp_path / "cli.csv")]
+        assert main(argv) == 0
+        capsys.readouterr()
+        config = cli._config_echo(cli.effective_config(cli.build_parser().parse_args(argv)))
+        qmet.write_csv(tmp_path / "lib.csv", header, to_csv(study()[0]), config)
+        assert (tmp_path / "cli.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
 
     def test_scatter_requires_out(self, capsys):
         rc, _, err = run(capsys, "scatter", "--n-states", "2")

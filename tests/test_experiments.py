@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qmet.bounds as bounds
+import qmet.cli as cli
 import qmet.experiments as experiments
 import qmet.linalg as linalg
 import qmet.models as models
@@ -104,6 +106,67 @@ class TestQubitSweep:
         for row, printed in zip(rows, qubit_rows_to_csv(rows)):
             for key, text in zip(QUBIT_SWEEP_HEADER, printed):
                 assert float(text) == row[key]
+
+
+def _legacy_csv(header, rows, config):
+    """The file text as the writer once built it whole: the oracle for its bytes."""
+    lines = [f"# {key}={value}" for key, value in config.items()]
+    lines.append(",".join(header))
+    lines.extend(",".join(row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def _peak_traced_bytes(call):
+    """The peak of Python allocations traced while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWriteCsv:
+    CONFIG = {"command": "qubit-sweep", "seed": 1}
+
+    @pytest.mark.parametrize("kind", ["list", "generator", "empty"])
+    def test_bytes_equal_legacy_join(self, tmp_path, kind):
+        table = qubit_rows_to_csv(run_qubit_sweep(n_samples=5, seed=1)[0])
+        if kind == "empty":
+            table = []
+        rows = (row for row in table) if kind == "generator" else table
+        path = tmp_path / "sweep.csv"
+        write_csv(path, QUBIT_SWEEP_HEADER, rows, self.CONFIG)
+        assert path.read_bytes() == _legacy_csv(QUBIT_SWEEP_HEADER, table, self.CONFIG).encode()
+
+    def test_raising_rows_leave_partial_file(self, tmp_path):
+        def rows():
+            yield ["1", "2"]
+            raise RuntimeError("row 2")
+
+        path = tmp_path / "partial.csv"
+        with pytest.raises(RuntimeError, match="row 2"):
+            write_csv(path, ["a", "b"], rows(), {"seed": 1})
+        assert path.read_text() == "# seed=1\na,b\n1,2\n"
+
+    def test_writer_memory_independent_of_row_count(self, tmp_path):
+        # a writer that joins the whole file text peaks at 12.6 MiB here
+        values = np.random.default_rng(0).standard_normal((20_000, len(QUBIT_SWEEP_HEADER)))
+        table = qubit_rows_to_csv([dict(zip(QUBIT_SWEEP_HEADER, v)) for v in values])
+        path = tmp_path / "big.csv"
+        peak = _peak_traced_bytes(lambda: write_csv(path, QUBIT_SWEEP_HEADER, table, self.CONFIG))
+        assert peak < 256 * 1024
+        assert path.read_bytes() == _legacy_csv(QUBIT_SWEEP_HEADER, table, self.CONFIG).encode()
+
+    def test_cli_sweep_streams_its_table(self, tmp_path, capsys):
+        # rows are formatted as they are written; a whole table joined into one text peaks at 4.1 MiB
+        def sweep(n):
+            argv = ["qubit-sweep", "--n-samples", str(n), "--seed", "7", "--out", str(tmp_path / "s.csv")]
+            assert cli.main(argv) == 0
+
+        sweep(5)  # warm-up: first-call allocations are not the sweep's
+        assert _peak_traced_bytes(lambda: sweep(2000)) < 2 * 1024 * 1024
+        capsys.readouterr()
 
 
 def _count_calls(monkeypatch, name):

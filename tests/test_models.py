@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -202,6 +204,20 @@ class TestQubitModel:
                       lambda r: eval_qubit2(1.0, 0.2, 1.0, r), lambda r: normalize_state(r, 3)):
             with pytest.raises(ValueError, match="zero norm"):
                 build(r)
+
+    @pytest.mark.parametrize("r, unit", [
+        ([1e200, 0.0, 0.0], [1.0, 0.0, 0.0]),
+        ([0.0, -1e300, 0.0], [0.0, -1.0, 0.0]),
+        ([1e200, 0.0, -1e200], [np.sqrt(0.5), 0.0, -np.sqrt(0.5)]),
+    ])
+    def test_huge_finite_vector_normalized(self, r, unit):
+        # a finite vector whose norm overflows is still a direction
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state = normalize_state(r, 3)
+            qubit = bloch_to_state(r)
+        assert np.allclose(state, unit, rtol=0.0, atol=1e-15)
+        assert np.allclose(qubit, bloch_to_state(unit), rtol=0.0, atol=1e-15)
 
 
 class TestQutritModels:
