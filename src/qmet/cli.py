@@ -246,25 +246,38 @@ def cmd_holevo(cfg):
     _emit(cfg, sol.to_json())
 
 
+def _write_sweep(cfg, header, run, row_to_csv):
+    """Write the table of ``run()`` to ``--out`` and print the path.
+
+    The rows reach :func:`experiments.write_csv` through a generator, so the
+    file is opened before ``run()`` starts: an unusable path fails before
+    the first row is computed.
+    """
+    def rows():
+        table, _ = run()
+        yield from map(row_to_csv, table)
+
+    exp_mod.write_csv(cfg["out"], header, rows(), _config_echo(cfg))
+    print(cfg["out"])
+
+
 def cmd_scatter(cfg):
     _require(cfg, ["out"])
     _field("n_states", exp_mod._require_count, cfg["n_states"], "n_states")
     if cfg.get("multi") is not None:
         _field("multi", exp_mod._require_count, cfg["multi"], "multi_params")
     params = (cfg["B"], cfg["theta"], cfg["phi"], cfg["t"])
-    rows, summary = exp_mod.run_scatter_study(
-        params=params,
-        n_states=cfg["n_states"],
-        seed=cfg["seed"],
-        multi_params=cfg.get("multi"),
-    )
-    exp_mod.write_csv(
-        cfg["out"],
+    _write_sweep(
+        cfg,
         exp_mod.SCATTER_HEADER,
-        map(exp_mod.scatter_row_to_csv, rows),
-        _config_echo(cfg),
+        lambda: exp_mod.run_scatter_study(
+            params=params,
+            n_states=cfg["n_states"],
+            seed=cfg["seed"],
+            multi_params=cfg.get("multi"),
+        ),
+        exp_mod.scatter_row_to_csv,
     )
-    print(cfg["out"])
 
 
 def cmd_probe_opt(cfg):
@@ -284,14 +297,12 @@ def cmd_probe_opt(cfg):
 def cmd_qubit_sweep(cfg):
     _require(cfg, ["out"])
     _field("n_samples", exp_mod._require_count, cfg["n_samples"], "n_samples")
-    rows, summary = exp_mod.run_qubit_sweep(n_samples=cfg["n_samples"], seed=cfg["seed"])
-    exp_mod.write_csv(
-        cfg["out"],
+    _write_sweep(
+        cfg,
         exp_mod.QUBIT_SWEEP_HEADER,
-        map(exp_mod.qubit_row_to_csv, rows),
-        _config_echo(cfg),
+        lambda: exp_mod.run_qubit_sweep(n_samples=cfg["n_samples"], seed=cfg["seed"]),
+        exp_mod.qubit_row_to_csv,
     )
-    print(cfg["out"])
 
 
 _COMMANDS = {

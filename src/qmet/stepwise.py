@@ -22,15 +22,21 @@ the block I.  Squaring the optimal accumulated cost recovers the bound.
 The recursion reads every det Q_S from one table of subset
 log-determinants, built by doubling: the subsets whose largest index is
 t are the subsets of 0..t-1 with t added, so each natural-order Cholesky
-factor is its parent's plus one row.
+factor is its parent's plus one row.  The subsets, their members and the
+subset less each member come from a lattice built once per n and cached,
+so a search does no subset bookkeeping of its own; the step costs of all
+(subset, member) pairs are one vectorized pass per block of at most
+``DP_PAIR_BUDGET`` pairs, a single block up to n = 12.
 
 The order routines read only the validated matrix of a QFIM (the ``q`` of
 a :class:`linalg.Qfim`), never its natural-order factor; ``csep_cholesky``
 and ``brackets`` read the factor.
 """
 
+import functools
 from dataclasses import dataclass
 from itertools import permutations
+from math import comb
 
 import numpy as np
 
@@ -46,7 +52,7 @@ from .linalg import (
 
 BRUTE_FORCE_MAX = 8
 DP_MAX = 20
-DP_CHUNK = 4096  # subsets per step of the layer pass; bounds its scratch memory
+DP_PAIR_BUDGET = 1 << 15  # (subset, member) pairs per block of the search; n <= 12 is one block
 
 
 @dataclass(frozen=True)
@@ -85,7 +91,8 @@ class DpTables:
     of sqrt(w_j) sqrt(det Q_I / det Q_{I+j}) for each j appended after the
     subset I before it (inf when no ordering of it is feasible).  Every
     det Q_S comes from one log-determinant table built by doubling, one
-    Cholesky row per subset.  ``choice[mask]`` is the 0-based index of the
+    Cholesky row per subset, and every (subset, member) pair from the
+    cached subset lattice.  ``choice[mask]`` is the 0-based index of the
     parameter estimated first within the subset, or -1 where there is no
     choice.  ``expansions`` counts (subset, candidate) pairs, n * 2^(n-1).
     """
@@ -224,6 +231,85 @@ def _subset_logdets(q):
     return ld
 
 
+@functools.cache
+def _lattice(n):
+    """The subset lattice of n parameters: every nonempty mask and its members.
+
+    Returns ``(masks, members, blocks)``.  ``masks`` lists the masks by
+    population count (layer) and ascending within a layer; ``members``
+    lists, flat and in the same order, the 0-based members of each mask in
+    ascending order, one int8 per (subset, member) pair.  Layer k is built
+    from layer k-1 by recursion on the top bit: the masks of layer k whose
+    largest member is t are the (k-1)-subsets of 0..t-1 with t added, and
+    those are the first C(t, k-1) masks of layer k-1.  ``blocks`` splits
+    the pairs into runs of whole layers of at most :data:`DP_PAIR_BUDGET`
+    pairs, a larger layer into runs of its rows; each block is a tuple of
+    (k, first mask, end mask, first pair, end pair) segments, one per layer.
+    """
+    masks = np.empty((1 << n) - 1, dtype=np.intp)
+    members = np.empty(n << (n - 1), dtype=np.int8)
+    last_masks, last_members = np.zeros(1, dtype=np.intp), np.zeros((1, 0), dtype=np.int8)
+    blocks, run, run_pairs = [], [], 0
+    mask_at = pair_at = 0
+    for k in range(1, n + 1):
+        count = comb(n, k)
+        layer = masks[mask_at:mask_at + count]
+        layer_members = members[pair_at:pair_at + count * k].reshape(count, k)
+        row = 0
+        for t in range(k - 1, n):
+            c = comb(t, k - 1)
+            np.bitwise_or(last_masks[:c], 1 << t, out=layer[row:row + c])
+            layer_members[row:row + c, :-1] = last_members[:c]
+            layer_members[row:row + c, -1] = t
+            row += c
+        last_masks, last_members = layer, layer_members
+        pairs = count * k
+        if run and run_pairs + pairs > DP_PAIR_BUDGET:
+            blocks.append(tuple(run))
+            run, run_pairs = [], 0
+        if pairs > DP_PAIR_BUDGET:
+            rows = DP_PAIR_BUDGET // k
+            for lo in range(0, count, rows):
+                hi = min(lo + rows, count)
+                blocks.append(((k, mask_at + lo, mask_at + hi, pair_at + lo * k, pair_at + hi * k),))
+        else:
+            run.append((k, mask_at, mask_at + count, pair_at, pair_at + pairs))
+            run_pairs += pairs
+        mask_at += count
+        pair_at += pairs
+    if run:
+        blocks.append(tuple(run))
+    masks.flags.writeable = members.flags.writeable = False  # shared by every search
+    return masks, members, tuple(blocks)
+
+
+@functools.lru_cache(maxsize=8)
+def _block_pairs(n, b):
+    """The (subset, member, subset less member) pairs of block ``b`` of the n-lattice.
+
+    Returns ``(src, j, prev, segments)``: for each pair its mask S, its
+    member j and the mask S \\ {j}, as intp arrays, and per layer segment
+    (k, the masks of its rows, its pair range within the block, the offset
+    of each row's first pair).  The eight blocks used last are kept, so a
+    lattice of one block (n <= 12) is derived once, while the 328 blocks
+    of n = 20 are derived again on every search and the memory kept stays
+    within eight blocks of the pair budget.
+    """
+    masks, members, blocks = _lattice(n)
+    block = blocks[b]
+    base = block[0][3]
+    src = np.concatenate([np.repeat(masks[m0:m1], k) for k, m0, m1, _, _ in block])
+    j = members[base:block[-1][4]].astype(np.intp)
+    segments = tuple(
+        (k, masks[m0:m1], p0 - base, p1 - base, np.arange(0, p1 - p0, k))
+        for k, m0, m1, p0, p1 in block
+    )
+    prev = src ^ np.left_shift(1, j)
+    for shared in (src, j, prev):
+        shared.flags.writeable = False
+    return src, j, prev, segments
+
+
 def dp_tables(q, w=None):
     """Held-Karp tables over parameter subsets, one population-count layer at a time.
 
@@ -236,16 +322,21 @@ def dp_tables(q, w=None):
     Schur complement at or below :func:`pivot_tol` makes the candidate
     infeasible, and so does a non-finite log-determinant; ties keep the
     smallest j.
+
+    No layer is searched for: the subsets, their members and the masks
+    S \\ {j} come from the lattice of :func:`_lattice`, built once per n,
+    block by block (:func:`_block_pairs`).  The step cost of every
+    (S, j in S) pair of a block is one vectorized pass, since it depends on
+    the log-determinants alone; each layer then costs one gather of the
+    costs of S \\ {j}, one add, a row argmin and two stores.  A block holds
+    at most ``DP_PAIR_BUDGET`` pairs, so n <= 12 is a single pass and the
+    scratch memory at n = 20 stays bounded.
     """
     q = qfim_matrix(q)
     n = q.shape[0]
     if n > DP_MAX:
         raise TooManyParameters(f"DP is guarded at n <= {DP_MAX}, got n = {n}")
     root_w = np.sqrt(weights(w, n))
-    bits = 1 << np.arange(n)
-    size = np.zeros(1, dtype=np.intp)
-    for _ in range(n):
-        size = np.concatenate((size, size + 1))  # popcount of every mask
     cost = np.full(1 << n, np.inf)
     cost[0] = 0.0
     choice = np.full(1 << n, -1, dtype=np.intp)
@@ -254,23 +345,20 @@ def dp_tables(q, w=None):
     # overflow of exp all sit where the comparison below fails: infeasible
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         log_tol = np.log(pivot_tol(q))
-        for k in range(1, n + 1):
-            layer = np.flatnonzero(size == k)
-            for lo in range(0, layer.size, DP_CHUNK):
-                sub = layer[lo:lo + DP_CHUNK]
-                # S \ {j}; for j outside S this is a mask of the next layer,
-                # whose cost is still inf
-                prev = sub[:, None] ^ bits
-                log_schur = ld[sub][:, None] - ld[prev]
-                vals = np.where(
-                    log_schur > log_tol,
-                    cost[prev] + root_w * np.exp(-0.5 * log_schur),
-                    np.inf,
-                )
-                best = np.argmin(vals, axis=1)  # first minimum: the smallest j
-                best_vals = vals[np.arange(sub.size), best]
-                cost[sub] = best_vals
-                choice[sub] = np.where(np.isfinite(best_vals), best, -1)
+        for b in range(len(_lattice(n)[2])):
+            src, j, prev, segments = _block_pairs(n, b)
+            log_schur = ld[src] - ld[prev]
+            # an infeasible step is inf, and so is any cost plus it
+            step = np.where(log_schur > log_tol, root_w[j] * np.exp(-0.5 * log_schur), np.inf)
+            for k, masks, lo, hi, rows in segments:
+                # cost(S \ {j}) is final: it lies in the layer below
+                vals = cost[prev[lo:hi]]
+                vals += step[lo:hi]
+                best = vals.reshape(-1, k).argmin(axis=1)  # first minimum: the smallest j
+                best += rows
+                best_vals = vals[best]
+                cost[masks] = best_vals
+                choice[masks] = np.where(np.isfinite(best_vals), j[lo:hi][best], -1)
     return DpTables(cost=cost, choice=choice, expansions=n * 2 ** (n - 1))
 
 

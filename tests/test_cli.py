@@ -271,6 +271,25 @@ class TestConfigFile:
         assert out == ""
         assert err.startswith("IsADirectoryError: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["scatter", "qubit-sweep"])
+    @pytest.mark.parametrize("target, error", [
+        (".", "IsADirectoryError"),
+        ("missing/sweep.csv", "FileNotFoundError"),
+    ])
+    def test_unusable_out_fails_before_the_sweep(
+        self, capsys, monkeypatch, tmp_path, command, target, error
+    ):
+        def sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran before --out was opened")
+
+        monkeypatch.setattr(experiments, "run_scatter_study", sweep)
+        monkeypatch.setattr(experiments, "run_qubit_sweep", sweep)
+        rc, out, err = run(capsys, command, "--out", str(tmp_path / target))
+        assert rc == 2
+        assert out == ""
+        assert err.startswith(f"{error}: ") and err.count("\n") == 1
+        assert not (tmp_path / "missing").exists()
+
 
 class TestSweepCommands:
     def test_qubit_sweep_artifact(self, capsys, tmp_path):

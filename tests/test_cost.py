@@ -22,6 +22,7 @@ from qmet.experiments import (
     haar_pure_state,
     qubit_sweep_row,
     run_qubit_sweep,
+    run_scatter_study,
     scatter_row,
 )
 from qmet.holevo import holevo_bound
@@ -37,6 +38,7 @@ CEILINGS = {
     "best_order_dp_n12": 21,
     "holevo_bound_qutrit3": 43,
     "run_qubit_sweep_200": 13205,
+    "run_scatter_study_50": 4438,
 }
 
 
@@ -52,6 +54,7 @@ def _calls():
         "best_order_dp_n12": lambda: best_order_dp(q12),
         "holevo_bound_qutrit3": lambda: holevo_bound(rho, drho),
         "run_qubit_sweep_200": lambda: run_qubit_sweep(n_samples=200, seed=7),
+        "run_scatter_study_50": lambda: run_scatter_study(n_states=50, seed=1),
     }
 
 

@@ -17,7 +17,13 @@ from qmet.stepwise import (
     dp_tables,
 )
 
-from helpers import dp_costs_by_loop, rand_spd, simplex_min_csep, step_terms_by_inversion
+from helpers import (
+    dp_costs_by_loop,
+    dp_tables_by_layers,
+    rand_spd,
+    simplex_min_csep,
+    step_terms_by_inversion,
+)
 
 Q_WORKED = np.array([[4.0, 2.0], [2.0, 5.0]])
 
@@ -207,6 +213,19 @@ class TestBruteForce:
             best_order_bruteforce([[1.0, 2.0], [2.0, 1.0]])
 
 
+def _q_eps(eps, perm):
+    q = np.array([[1.0, 1.0, 0.0], [1.0, 1.0 + eps, 0.0], [0.0, 0.0, 2.0]])
+    return q[np.ix_(perm, perm)]
+
+
+def _sloppy(seed, n, decades):
+    rng = np.random.default_rng(seed)
+    basis, r = np.linalg.qr(rng.standard_normal((n, n)))
+    basis = basis * np.sign(np.diag(r))
+    q = basis @ np.diag(np.logspace(0.0, -decades, n)) @ basis.T
+    return 0.5 * (q + q.T)
+
+
 def _submatrix(q, mask):
     idx = [k for k in range(q.shape[0]) if mask >> k & 1]
     return q[np.ix_(idx, idx)]
@@ -337,6 +356,49 @@ class TestDynamicProgramming:
         with pytest.raises(TooManyParameters):
             best_order_dp(np.eye(21))
 
+    # n <= 12 is one block of the lattice; n = 13 is several, and n = 15
+    # splits its largest layers into runs of rows
+    @pytest.mark.parametrize("n", [*range(1, 14), 15])
+    @pytest.mark.parametrize("family", ["well", "sloppy", "weighted"])
+    def test_tables_equal_layer_referee(self, n, family):
+        # the same step costs, pivot rule and tie-break as the layer loop, so
+        # the same bits
+        rng = np.random.default_rng([n, 15])
+        q = _sloppy(int(rng.integers(2**32)), n, 8.0) if family == "sloppy" else rand_spd(rng, n)
+        w = rng.uniform(0.2, 3.0, size=n) if family == "weighted" else None
+        tables = dp_tables(q, w)
+        cost, choice = dp_tables_by_layers(q, w)
+        assert np.array_equal(tables.cost, cost)
+        assert np.array_equal(tables.choice, choice)
+
+    @pytest.mark.parametrize("q", [
+        _q_eps(1e-13, [0, 1, 2]),
+        _q_eps(1e-13, [2, 0, 1]),
+        np.outer([1.0, 2.0, 4.0, 0.5], [1.0, 2.0, 4.0, 0.5]),
+        np.diag([2.0, 0.0, 1.0, 3.0]),
+    ], ids=["q_eps", "q_eps_permuted", "rank_one", "zero_pivot"])
+    def test_singular_tables_equal_layer_referee(self, q):
+        tables = dp_tables(q)
+        cost, choice = dp_tables_by_layers(q)
+        assert np.array_equal(tables.cost, cost)
+        assert np.array_equal(tables.choice, choice)
+        assert not np.isfinite(tables.cost[-1])
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_scaled_identity_ties_pick_lowest_member(self, n):
+        # every subset of c I_n has the same log-determinant per size, so all
+        # candidates tie exactly and each choice is the lowest member
+        masks = np.arange(1, 1 << n)
+        lowest = np.log2(masks & -masks).astype(np.intp)
+        for c in (1.0, 0.25, 3.7):
+            tables = dp_tables(c * np.eye(n))
+            assert np.array_equal(tables.choice[1:], lowest)
+            assert best_order_dp(c * np.eye(n)).ordering == tuple(range(1, n + 1))
+
+    def test_diagonal_ties_pick_natural_order(self):
+        # the twin of the brute-force test: dyadic entries tie exactly here too
+        assert best_order_dp(np.diag([1.0, 4.0, 0.25])).ordering == (1, 2, 3)
+
     def test_dp_value_consistent_with_cost_square(self):
         rng = np.random.default_rng(11)
         q = rand_spd(rng, 4)
@@ -361,19 +423,6 @@ def _search_or_none(search, q):
         return search(q)
     except SingularQfim:
         return None
-
-
-def _q_eps(eps, perm):
-    q = np.array([[1.0, 1.0, 0.0], [1.0, 1.0 + eps, 0.0], [0.0, 0.0, 2.0]])
-    return q[np.ix_(perm, perm)]
-
-
-def _sloppy(seed, n, decades):
-    rng = np.random.default_rng(seed)
-    basis, r = np.linalg.qr(rng.standard_normal((n, n)))
-    basis = basis * np.sign(np.diag(r))
-    q = basis @ np.diag(np.logspace(0.0, -decades, n)) @ basis.T
-    return 0.5 * (q + q.T)
 
 
 # Q_eps has a Schur pivot of eps against the pivot tolerance 2e-12.  Within a
