@@ -283,17 +283,17 @@ def _lattice(n):
     return masks, members, tuple(blocks)
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=4)
 def _block_pairs(n, b):
     """The (subset, member, subset less member) pairs of block ``b`` of the n-lattice.
 
     Returns ``(src, j, prev, segments)``: for each pair its mask S, its
     member j and the mask S \\ {j}, as intp arrays, and per layer segment
     (k, the masks of its rows, its pair range within the block, the offset
-    of each row's first pair).  The eight blocks used last are kept, so a
+    of each row's first pair).  The four blocks used last are kept, so a
     lattice of one block (n <= 12) is derived once, while the 328 blocks
     of n = 20 are derived again on every search and the memory kept stays
-    within eight blocks of the pair budget.
+    within four blocks of the pair budget.
     """
     masks, members, blocks = _lattice(n)
     block = blocks[b]

@@ -168,7 +168,8 @@ def dp_tables_by_layers(q, w=None):
     subsets, the candidates outside the subset reading the still-infinite
     cost of a mask of the next layer.  The step-cost arithmetic, the pivot
     rule and the smallest-j tie-break are the search's, so the tables must
-    agree bit for bit.
+    agree bit for bit.  It reads the package's ``_subset_logdets``, which
+    ``TestSubsetLogdets`` checks on its own: this referees the search alone.
     """
     q = qfim_matrix(q)
     n = q.shape[0]
